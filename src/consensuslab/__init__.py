@@ -19,11 +19,9 @@ from .dynamics import (
     NoiseModel,
     SimulationTrace,
     adversarial_exact_moments,
-    aggregate_noise,
     aggregate_noise_covariance,
     design_gain_schedule,
     exact_second_moment,
-    gain_value,
     make_noise,
     monte_carlo_V,
     run,
@@ -69,11 +67,8 @@ from .topology import (
     PeriodicProcess,
     RandomBlockProcess,
     TopologyProcess,
-    adversarial_process,
     cycle_edge_components,
     minimal_delta,
-    periodic_process,
-    random_block_process,
     schedule_times,
     star_rotation_components,
     verify_joint_connectivity,

@@ -10,9 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import GainSchedule, transition_product
+from .dynamics import GainSchedule
 from .graph import WeightedDigraph, degrees, laplacian
-from .topology import ConnectivitySchedule, FixedProcess, TopologyProcess, window_indices
+from .topology import ConnectivitySchedule, window_indices
 
 REL_TOL = 1e-9
 

@@ -17,19 +17,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analysis, dynamics, graph, manet, topology
 
 ENV_OUT_DIR = "CONSENSUSLAB_OUT"
-
-EXPERIMENT_KINDS = (
-    "protocol_run", "monte_carlo", "rate_study", "adversarial_study",
-    "random_topology_study", "manet_study", "verify_suite",
-)
-
 
 class ConfigError(Exception):
     """Invalid configuration; carries the offending field path."""
@@ -82,9 +76,9 @@ def build_noise(cfg: dict, path: str = "noise.") -> dynamics.NoiseModel:
 
 
 def _build_graph(cfg: dict, path: str) -> graph.WeightedDigraph:
+    n = int(_req(cfg, "n", path))
     if "builder" in cfg:
         name = cfg["builder"]
-        n = int(_req(cfg, "n", path))
         builders = {
             "complete": graph.complete_graph,
             "pair": graph.pair_graph,
@@ -94,7 +88,6 @@ def _build_graph(cfg: dict, path: str) -> graph.WeightedDigraph:
         if name not in builders:
             raise ConfigError(f"unknown graph builder '{name}' at '{path}builder'")
         return builders[name](n)
-    n = int(_req(cfg, "n", path))
     edges = [(int(j) - 1, int(i) - 1, float(w)) for j, i, w in _req(cfg, "edges", path)]
     return graph.from_edges(n, edges, cfg.get("a_max"))
 
@@ -278,11 +271,8 @@ def _random_joint_trace(rng: np.random.Generator):
     delta = float(rng.uniform(0.0, 0.5))
     c = float(rng.integers(1, 4))
     horizon = int(rng.integers(40, 200))
-    base = graph.cycle_graph(n)
-    proc = topology.ExtensibleBlockProcess(base, delta, c, horizon)
-    trace = proc.trace(horizon)
-    sched = proc.schedule
-    return n, trace, sched
+    proc = topology.ExtensibleBlockProcess(graph.cycle_graph(n), delta, c, horizon)
+    return n, proc.trace(horizon), proc.schedule
 
 
 def run_verify_suites(cases: int = 500, seed: int = 0) -> list[SuiteResult]:
@@ -383,14 +373,9 @@ class ExperimentReport:
 
 
 def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _fit_window(cfg: dict, horizon: int) -> tuple[float, float]:
-    win = cfg.get("fit_window")
-    if win is None:
-        return (0.2 * horizon, horizon)  # transient decays faster than the tail
-    return (float(win[0]), float(win[1]))
+    # where the artifacts go is not part of what they hold
+    kept = {k: v for k, v in cfg.items() if k != "out_dir"}
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _write_report(report: ExperimentReport) -> None:
@@ -405,74 +390,71 @@ def _write_report(report: ExperimentReport) -> None:
     report.artifacts["report"] = path
 
 
-def run_experiment(config, overrides: dict | None = None) -> ExperimentReport:
-    """Execute one configured experiment and write its artifacts."""
-    cfg = load_config(config) if isinstance(config, str) else copy.deepcopy(config)
-    if overrides:
-        cfg.update({k: v for k, v in overrides.items() if v is not None})
-    kind = _req(cfg, "kind", "")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind '{kind}' at 'kind'")
-    seed = int(cfg.get("seed", 0))
-    out_dir = cfg.get("out_dir") or os.environ.get(ENV_OUT_DIR) or "out"
-    os.makedirs(out_dir, exist_ok=True)
-    report = ExperimentReport(kind, seed, _config_hash(cfg), out_dir)
+def _csv_path(report: ExperimentReport, key: str, stem: str | None = None) -> str:
+    """Register artifact `key` as <out_dir>/<stem or key>.csv and return its path."""
+    path = os.path.join(report.out_dir, f"{stem or key}.csv")
+    report.artifacts[key] = path
+    return path
 
-    if kind == "verify_suite":
-        results = run_verify_suites(int(cfg.get("cases", 500)), seed)
-        path = os.path.join(out_dir, "verify.csv")
-        with open(path, "w") as fh:
-            fh.write("experiment_id,quantity,value,stderr,holds\n")
-            for r in results:
-                fh.write(f"verify,{r.name},{r.cases - r.failures},0,{str(r.passed).lower()}\n")
-        report.artifacts["verify"] = path
-        for r in results:
-            report.checks.append((r.name, r.passed, f"{r.failures}/{r.cases} failures"))
-        _write_report(report)
-        return report
 
-    if kind == "manet_study":
-        figure = cfg.get("figure", "fig2")
-        scene, gains = manet.scenario_preset(figure)
-        if "speed_b" in cfg:  # sweepable relative-speed exponent
-            import dataclasses
+def _mirror_svg(cfg: dict, report: ExperimentReport, csv_path: str, plot_kind: str,
+                name: str) -> None:
+    """Render a CSV artifact as <name>.svg unless the config sets "svg": false."""
+    if cfg.get("svg", True):
+        svg = os.path.join(report.out_dir, f"{name}.svg")
+        emit_plot(csv_path, plot_kind, svg)
+        report.artifacts[f"{name}_svg"] = svg
 
-            scene = dataclasses.replace(scene, speed_b=float(cfg["speed_b"]))
-        if "gains" in cfg:
-            gains = build_gains(cfg["gains"])
-        rounds = int(cfg.get("horizon", 10_000))
-        runs = int(cfg.get("replicas", 100))
-        batch = manet.run_manet_batch(scene, gains, rounds, runs, seed)
-        trace = manet.run_manet(scene, gains, rounds, seed)
-        tpath = os.path.join(out_dir, "states.csv")
-        dynamics.write_trace_csv(trace, tpath)
-        ppath = os.path.join(out_dir, "positions.csv")
-        manet.write_positions_csv(scene, min(rounds, 200), ppath)
-        spath = os.path.join(out_dir, "manet_summary.csv")
-        with open(spath, "w") as fh:
-            fh.write("run,final_range,final_mean\n")
-            for r in range(batch.runs):
-                fh.write(f"{r},{batch.final_range[r]:.12g},{batch.final_mean[r]:.12g}\n")
-        report.artifacts.update(states=tpath, positions=ppath, summary=spath)
-        if cfg.get("svg", True):
-            svg = os.path.join(out_dir, "states.svg")
-            emit_plot(tpath, "states", svg)
-            report.artifacts["states_svg"] = svg
-            psvg = os.path.join(out_dir, "positions.svg")
-            emit_plot(ppath, "positions", psvg)
-            report.artifacts["positions_svg"] = psvg
-        med = float(np.median(batch.final_range))
-        mean_final = float(batch.final_mean.mean())
-        report.summary.update(median_final_range=med, mean_final=mean_final,
-                              frac_range_lt_005=float((batch.final_range < 0.05).mean()))
-        report.rates.append((f"{figure}_median_final_range", med, 0.0))
-        if figure == "fig2" and rounds >= 10_000 and runs >= 50:
-            report.checks.append(("fig2_mean_final_in_band", 0.45 <= mean_final <= 0.55,
-                                  f"mean final {mean_final:.4f}"))
-        _write_report(report)
-        return report
 
-    # protocol-style experiments share the component sections
+def _write_quantities(path: str, experiment_id: str, rows) -> None:
+    """Write (quantity, value, stderr, holds) rows under one experiment id."""
+    with open(path, "w") as fh:
+        fh.write("experiment_id,quantity,value,stderr,holds\n")
+        for quantity, value, stderr, holds in rows:
+            fh.write(f"{experiment_id},{quantity},{value:.12g},{stderr:.12g},"
+                     f"{str(holds).lower()}\n")
+
+
+def _verify_suite(cfg: dict, report: ExperimentReport) -> None:
+    results = run_verify_suites(int(cfg.get("cases", 500)), report.seed)
+    _write_quantities(_csv_path(report, "verify"), "verify",
+                      [(r.name, r.cases - r.failures, 0, r.passed) for r in results])
+    report.checks += [(r.name, r.passed, f"{r.failures}/{r.cases} failures") for r in results]
+
+
+def _manet_study(cfg: dict, report: ExperimentReport) -> None:
+    figure = cfg.get("figure", "fig2")
+    scene, gains = manet.scenario_preset(figure)
+    if "speed_b" in cfg:  # sweepable relative-speed exponent
+        scene = replace(scene, speed_b=float(cfg["speed_b"]))
+    if "gains" in cfg:
+        gains = build_gains(cfg["gains"])
+    rounds = int(cfg.get("horizon", 10_000))
+    runs = int(cfg.get("replicas", 100))
+    batch = manet.run_manet_batch(scene, gains, rounds, runs, report.seed)
+    trace = manet.run_manet(scene, gains, rounds, report.seed)
+    tpath = _csv_path(report, "states")
+    dynamics.write_trace_csv(trace, tpath)
+    ppath = _csv_path(report, "positions")
+    manet.write_positions_csv(scene, min(rounds, 200), ppath)
+    with open(_csv_path(report, "summary", "manet_summary"), "w") as fh:
+        fh.write("run,final_range,final_mean\n")
+        for r in range(batch.runs):
+            fh.write(f"{r},{batch.final_range[r]:.12g},{batch.final_mean[r]:.12g}\n")
+    _mirror_svg(cfg, report, tpath, "states", "states")
+    _mirror_svg(cfg, report, ppath, "positions", "positions")
+    med = float(np.median(batch.final_range))
+    mean_final = float(batch.final_mean.mean())
+    report.summary.update(median_final_range=med, mean_final=mean_final,
+                          frac_range_lt_005=float((batch.final_range < 0.05).mean()))
+    report.rates.append((f"{figure}_median_final_range", med, 0.0))
+    if figure == "fig2" and rounds >= 10_000 and runs >= 50:
+        report.checks.append(("fig2_mean_final_in_band", 0.45 <= mean_final <= 0.55,
+                              f"mean final {mean_final:.4f}"))
+
+
+def _protocol_sections(cfg: dict, seed: int):
+    """(horizon, gains, noise, process, x1) from the shared component sections."""
     horizon = int(_req(cfg, "horizon", ""))
     if "delta" in cfg:  # sweepable shared exponent for adversarial studies
         delta = float(cfg["delta"])
@@ -483,70 +465,98 @@ def run_experiment(config, overrides: dict | None = None) -> ExperimentReport:
     gains = build_gains(_req(cfg, "gains", ""), "gains.")
     noise = build_noise(_req(cfg, "noise", ""), "noise.")
     process = build_process(_req(cfg, "topology", ""), gains, horizon, seed, "topology.")
-    x1 = build_x1(cfg.get("x1"), process.n)
+    return horizon, gains, noise, process, build_x1(cfg.get("x1"), process.n)
 
-    if kind == "protocol_run":
-        trace = dynamics.run(process, gains, noise, x1, horizon, seed)
-        tpath = os.path.join(out_dir, "trace.csv")
-        dynamics.write_trace_csv(trace, tpath)
-        report.artifacts["trace"] = tpath
-        if cfg.get("svg", True):
-            svg = os.path.join(out_dir, "states.svg")
-            emit_plot(tpath, "states", svg)
-            report.artifacts["states_svg"] = svg
-        report.summary["consensus_value"] = trace.consensus_value
-        _write_report(report)
-        return report
 
-    method = cfg.get("method", "monte_carlo")
-    if method == "exact":
+def _protocol_run(cfg: dict, report: ExperimentReport) -> None:
+    horizon, gains, noise, process, x1 = _protocol_sections(cfg, report.seed)
+    trace = dynamics.run(process, gains, noise, x1, horizon, report.seed)
+    tpath = _csv_path(report, "trace")
+    dynamics.write_trace_csv(trace, tpath)
+    _mirror_svg(cfg, report, tpath, "states", "states")
+    report.summary["consensus_value"] = trace.consensus_value
+
+
+def _mean_v_study(cfg: dict, report: ExperimentReport):
+    """E V(t) by Monte Carlo or the exact recursion; returns (ts, E V, horizon)."""
+    horizon, gains, noise, process, x1 = _protocol_sections(cfg, report.seed)
+    if cfg.get("method", "monte_carlo") == "exact":
         if isinstance(process, topology.AdversarialProcess) and noise.independent_across_time:
-            ts, meanV = dynamics.adversarial_exact_moments(process, gains, noise.v, x1, horizon)
+            ts, mean_v = dynamics.adversarial_exact_moments(process, gains, noise.v, x1, horizon)
         else:
-            ts, meanV = dynamics.exact_second_moment(process, gains, noise, x1, horizon)
-        stderr = np.zeros_like(meanV)
-        replicas = 0
-        final_states = None
+            ts, mean_v = dynamics.exact_second_moment(process, gains, noise, x1, horizon)
+        result = dynamics.MonteCarloResult(ts, mean_v, np.zeros_like(mean_v), None, 0)
     else:
-        replicas = int(cfg.get("replicas", 200))
-        mc = dynamics.monte_carlo_V(process, gains, noise, x1, horizon, replicas, seed)
-        ts, meanV, stderr = mc.ts, mc.mean_V, mc.stderr_V
-        final_states = mc.final_states
-
-    mpath = os.path.join(out_dir, "mean_V.csv")
-    with open(mpath, "w") as fh:
-        fh.write("t,meanV,stderrV,replicas\n")
-        for k in range(len(ts)):
-            fh.write(f"{int(ts[k])},{meanV[k]:.12g},{stderr[k]:.12g},{replicas}\n")
-    report.artifacts["mean_V"] = mpath
-    if cfg.get("svg", True):
-        svg = os.path.join(out_dir, "mean_V.svg")
-        emit_plot(mpath, "loglog_V", svg)
-        report.artifacts["mean_V_svg"] = svg
-
-    if final_states is not None:
-        stats = analysis.consensus_stats(final_states, x1)
-        spath = os.path.join(out_dir, "consensus_stats.csv")
-        with open(spath, "w") as fh:
-            fh.write("experiment_id,quantity,value,stderr,holds\n")
-            se = math.sqrt(stats.var_final / stats.replicas) if stats.replicas else 0.0
-            bias_ok = abs(stats.mean_final - stats.target_average) <= 4 * max(se, 1e-300)
-            fh.write(f"{report.config_hash},mean_final,{stats.mean_final:.12g},{se:.12g},{str(bias_ok).lower()}\n")
-            fh.write(f"{report.config_hash},var_final,{stats.var_final:.12g},0,true\n")
-        report.artifacts["consensus_stats"] = spath
+        result = dynamics.monte_carlo_V(process, gains, noise, x1, horizon,
+                                        int(cfg.get("replicas", 200)), report.seed)
+    mpath = _csv_path(report, "mean_V")
+    dynamics.write_monte_carlo_csv(result, mpath)
+    _mirror_svg(cfg, report, mpath, "loglog_V", "mean_V")
+    if result.final_states is not None:
+        stats = analysis.consensus_stats(result.final_states, x1)
+        se = math.sqrt(stats.var_final / stats.replicas) if stats.replicas else 0.0
+        bias_ok = abs(stats.mean_final - stats.target_average) <= 4 * max(se, 1e-300)
+        _write_quantities(_csv_path(report, "consensus_stats"), report.config_hash,
+                          [("mean_final", stats.mean_final, se, bias_ok),
+                           ("var_final", stats.var_final, 0, True)])
         report.summary.update(mean_final=stats.mean_final, var_final=stats.var_final)
+    return result.ts, result.mean_V, horizon
 
-    if kind in ("rate_study", "adversarial_study", "random_topology_study"):
-        lo, hi = _fit_window(cfg, horizon)
-        fit = analysis.fit_rate(ts, meanV, (lo, hi))
-        fpath = os.path.join(out_dir, "fits.csv")
-        with open(fpath, "w") as fh:
-            fh.write("experiment_id,quantity,value,stderr,holds\n")
-            fh.write(f"{report.config_hash},slope,{fit.slope:.12g},{fit.stderr_slope:.12g},true\n")
-            fh.write(f"{report.config_hash},intercept,{fit.intercept:.12g},0,true\n")
-        report.artifacts["fits"] = fpath
-        report.rates.append(("slope", fit.slope, fit.stderr_slope))
-        report.summary["slope"] = fit.slope
+
+def _rate_study(cfg: dict, report: ExperimentReport) -> None:
+    ts, mean_v, horizon = _mean_v_study(cfg, report)
+    win = cfg.get("fit_window")
+    if win is None:
+        win = (0.2 * horizon, horizon)  # transient decays faster than the tail
+    fit = analysis.fit_rate(ts, mean_v, (float(win[0]), float(win[1])))
+    _write_quantities(_csv_path(report, "fits"), report.config_hash,
+                      [("slope", fit.slope, fit.stderr_slope, True),
+                       ("intercept", fit.intercept, 0, True)])
+    report.rates.append(("slope", fit.slope, fit.stderr_slope))
+    report.summary["slope"] = fit.slope
+
+
+_COMMON_KEYS = frozenset({"kind", "seed", "out_dir"})
+_PROTOCOL_KEYS = _COMMON_KEYS | {"horizon", "delta", "topology", "gains", "noise", "x1", "svg"}
+_MEAN_V_KEYS = _PROTOCOL_KEYS | {"method", "replicas"}
+_RATE_KEYS = _MEAN_V_KEYS | {"fit_window"}
+
+# experiment kind -> (runner filling the report, top-level config keys it reads)
+EXPERIMENTS = {
+    "protocol_run": (_protocol_run, _PROTOCOL_KEYS),
+    "monte_carlo": (_mean_v_study, _MEAN_V_KEYS),
+    "rate_study": (_rate_study, _RATE_KEYS),
+    "adversarial_study": (_rate_study, _RATE_KEYS),
+    "random_topology_study": (_rate_study, _RATE_KEYS),
+    "manet_study": (_manet_study, _COMMON_KEYS | {"figure", "speed_b", "gains", "horizon",
+                                                  "replicas", "svg"}),
+    "verify_suite": (_verify_suite, _COMMON_KEYS | {"cases"}),
+}
+
+
+def _prepare(config, overrides: dict | None) -> tuple[dict, str]:
+    """Load a config, apply overrides, reject keys its kind does not read,
+    and create the output directory."""
+    cfg = load_config(config) if isinstance(config, str) else copy.deepcopy(config)
+    if overrides:
+        cfg.update({k: v for k, v in overrides.items() if v is not None})
+    kind = _req(cfg, "kind", "")
+    if kind not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment kind '{kind}' at 'kind'")
+    unknown = sorted(set(cfg) - EXPERIMENTS[kind][1])
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown} for kind '{kind}'")
+    out_dir = cfg.get("out_dir") or os.environ.get(ENV_OUT_DIR) or "out"
+    os.makedirs(out_dir, exist_ok=True)
+    return cfg, out_dir
+
+
+def run_experiment(config, overrides: dict | None = None) -> ExperimentReport:
+    """Execute one configured experiment and write its artifacts."""
+    cfg, out_dir = _prepare(config, overrides)
+    kind = cfg["kind"]
+    report = ExperimentReport(kind, int(cfg.get("seed", 0)), _config_hash(cfg), out_dir)
+    EXPERIMENTS[kind][0](cfg, report)
     _write_report(report)
     return report
 
@@ -569,31 +579,20 @@ def sweep(config, parameter: str, values, overrides: dict | None = None) -> Expe
     For manet studies the aggregated quantity is the median final range
     (recorded in the slope column; the CSV schema is shared).
     """
-    base = load_config(config) if isinstance(config, str) else copy.deepcopy(config)
-    if overrides:
-        base.update({k: v for k, v in overrides.items() if v is not None})
-    out_dir = base.get("out_dir") or os.environ.get(ENV_OUT_DIR) or "out"
-    os.makedirs(out_dir, exist_ok=True)
+    base, out_dir = _prepare(config, overrides)
     rows = []
-    last = None
     for k, val in enumerate(values):
         cfg = copy.deepcopy(base)
         _set_by_path(cfg, parameter, val)
         cfg["seed"] = int(base.get("seed", 0)) + 1000 * k
         cfg["out_dir"] = os.path.join(out_dir, f"{parameter.replace('.', '_')}_{val}")
-        last = run_experiment(cfg)
-        if last.rates:
-            label, slope, stderr = last.rates[0]
-            rows.append((val, slope, stderr))
-        else:
-            rows.append((val, float("nan"), float("nan")))
+        rates = run_experiment(cfg).rates
+        rows.append((val, *rates[0][1:]) if rates else (val, float("nan"), float("nan")))
     report = ExperimentReport("sweep", int(base.get("seed", 0)), _config_hash(base), out_dir)
-    spath = os.path.join(out_dir, "sweep.csv")
-    with open(spath, "w") as fh:
+    with open(_csv_path(report, "sweep"), "w") as fh:
         fh.write("value,slope,stderr\n")
         for val, slope, stderr in rows:
             fh.write(f"{val},{slope:.12g},{stderr:.12g}\n")
-    report.artifacts["sweep"] = spath
     report.summary["rows"] = [[float(v) if isinstance(v, (int, float)) else v, s, e]
                               for v, s, e in rows]
     _write_report(report)
@@ -657,31 +656,27 @@ def main(argv=None) -> int:
             return 0 if report.passed else 1
         if args.command == "sweep":
             vals = []
-            for tok in args.values.split(","):
-                tok = tok.strip()
-                try:
-                    vals.append(int(tok))
-                except ValueError:
+            for tok in (t.strip() for t in args.values.split(",")):
+                for parse in (int, float, str):  # first that accepts the token
                     try:
-                        vals.append(float(tok))
+                        vals.append(parse(tok))
+                        break
                     except ValueError:
-                        vals.append(tok)
+                        pass
             report = sweep(args.config, args.parameter, vals, _overrides(args))
             print(f"sweep rows: {report.summary['rows']}")
             print(f"artifacts in {report.out_dir}")
             return 0
         if args.command == "verify":
             results = run_verify_suites(args.cases, args.seed)
-            failed = [r for r in results if not r.passed]
             for r in results:
                 print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.failures}/{r.cases} failures")
-            return 3 if failed else 0
-        if args.command == "plot":
-            out = args.out or (os.path.splitext(args.csv)[0] + ".svg")
-            emit_plot(args.csv, args.kind, out)
-            print(f"wrote {out}")
-            return 0
-        return 2
+            return 0 if all(r.passed for r in results) else 3
+        # plot, the last subcommand
+        out = args.out or (os.path.splitext(args.csv)[0] + ".svg")
+        emit_plot(args.csv, args.kind, out)
+        print(f"wrote {out}")
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,11 +88,6 @@ class GainSchedule:
         if np.any(ts > len(self.table)):
             raise ValueError("time outside the gain table")
         return self.table[np.asarray(ts, dtype=np.int64) - 1]
-
-
-def gain_value(schedule: GainSchedule, t: int) -> float:
-    """a(t) for a single integer time t >= 1."""
-    return schedule.value(t)
 
 
 def design_gain_schedule(n: int, c: float, a_max: float, delta: float) -> GainSchedule:
@@ -269,15 +264,6 @@ class EdgeNoiseSampler:
         return np.einsum("ij,ijr->ir", g.weights, W)
 
 
-def aggregate_noise(g: WeightedDigraph, model: NoiseModel, t: int,
-                    stream: EdgeNoiseSampler | int) -> np.ndarray:
-    """w_hat(t) for graph g; `stream` is a sampler or a root seed."""
-    sampler = stream if isinstance(stream, EdgeNoiseSampler) else EdgeNoiseSampler(model, g.n, stream)
-    if sampler.model is not model and sampler.model != model:
-        raise ValueError("sampler was built for a different noise model")
-    return sampler.aggregate(g, t)
-
-
 def aggregate_noise_covariance(g: WeightedDigraph, model: NoiseModel) -> np.ndarray:
     """Cov(w_hat(t)) = v diag(sum_j a_ij^2) for cross-edge independent noise."""
     return model.v * np.diag((g.weights**2).sum(axis=1))
@@ -356,7 +342,7 @@ class MonteCarloResult:
     ts: np.ndarray
     mean_V: np.ndarray
     stderr_V: np.ndarray
-    final_states: np.ndarray  # (replicas, n)
+    final_states: np.ndarray | None  # (replicas, n); None for exact moments
     replicas: int
 
 
@@ -431,8 +417,7 @@ def exact_second_moment(process: TopologyProcess, gains: GainSchedule,
     With J the centering projector and A_t = I - a(t) L(t), the centered
     second moment M obeys M(t+1) = J A_t M(t) A_t' J + a(t)^2 J C_w(t) J
     and E V(x(t)) = tr M(t).  `noise_cov` may be a NoiseModel (must be an
-    independent-across-time kind), a constant (n, n) matrix, or a
-    callable t -> (n, n).
+    independent-across-time kind) or a constant (n, n) matrix.
     """
     if not process.deterministic:
         raise ValueError("exact second moments need a deterministic topology process")
@@ -442,12 +427,10 @@ def exact_second_moment(process: TopologyProcess, gains: GainSchedule,
         if not noise_cov.independent_across_time:
             raise ValueError("exact recursion requires noise independent across time")
         model = noise_cov
-        cov_at = lambda t, g: aggregate_noise_covariance(g, model)
-    elif callable(noise_cov):
-        cov_at = lambda t, g: np.asarray(noise_cov(t), dtype=float)
+        cov_at = lambda g: aggregate_noise_covariance(g, model)
     else:
         C = np.asarray(noise_cov, dtype=float)
-        cov_at = lambda t, g: C
+        cov_at = lambda g: C
     J = np.eye(n) - np.ones((n, n)) / n
     y = J @ x1
     M = np.outer(y, y)
@@ -462,7 +445,7 @@ def exact_second_moment(process: TopologyProcess, gains: GainSchedule,
         A = np.eye(n) - a * L
         M = A @ M @ A.T
         M = J @ M @ J
-        C = cov_at(t, g)
+        C = cov_at(g)
         M += a * a * (J @ C @ J)
         EV[t] = float(np.trace(M))
     return ts, EV

@@ -165,12 +165,6 @@ def is_balanced(g: WeightedDigraph, tol: float = DEFAULT_BALANCE_TOL) -> bool:
     return bool(np.all(np.abs(din - dout) <= tol))
 
 
-def _presence(g: GraphLike) -> np.ndarray:
-    if isinstance(g, UnionGraph):
-        return g.edge_present
-    return g.weights != 0
-
-
 def _reaches_all(adj: np.ndarray, start: int) -> bool:
     # adj[i, j]: edge j -> i; we walk sender -> receiver, so follow columns.
     n = adj.shape[0]
@@ -186,13 +180,20 @@ def _reaches_all(adj: np.ndarray, start: int) -> bool:
     return bool(seen.all())
 
 
-def is_strongly_connected(g: GraphLike) -> bool:
+def is_strongly_connected(g: GraphLike | np.ndarray) -> bool:
     """Directed path between every ordered node pair.
 
-    Node 0 must reach every node and be reachable from every node, which
-    is equivalent to strong connectivity.
+    `g` is a graph, a union, or a boolean presence matrix in the
+    receiver-row convention (adj[i, j]: edge j -> i).  Node 0 must reach
+    every node and be reachable from every node, which is equivalent to
+    strong connectivity.
     """
-    adj = _presence(g)
+    if isinstance(g, WeightedDigraph):
+        adj = g.weights != 0
+    elif isinstance(g, UnionGraph):
+        adj = g.edge_present
+    else:
+        adj = g
     return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
 
 

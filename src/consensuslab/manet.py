@@ -206,8 +206,7 @@ def simulate_round(scene: ManetScene, l: int, states: Sequence[float], a_l: floa
     return new, graph
 
 
-def run_manet(scene: ManetScene, gains: GainSchedule, rounds: int, seed: int,
-              record_graphs: bool = False) -> SimulationTrace:
+def run_manet(scene: ManetScene, gains: GainSchedule, rounds: int, seed: int) -> SimulationTrace:
     """Iterate rounds l = 0 .. rounds-1; round l applies gain a(l+1) of the
     schedule (round indexing starts at zero, gain tables at one)."""
     stream = StreamPool(seed)
@@ -216,16 +215,13 @@ def run_manet(scene: ManetScene, gains: GainSchedule, rounds: int, seed: int,
     a_all = gains.values(np.arange(1, rounds + 2))
     states = np.empty((rounds + 1, scene.n))
     V = np.empty(rounds + 1)
-    graphs: list[WeightedDigraph] | None = [] if record_graphs else None
     states[0] = x
     V[0] = float(_disagreement_vec(x[:, None])[0])
     for l in range(rounds):
-        x, g = simulate_round(scene, l, x, a_all[l], stream, cum_disp=float(disps[l]))
+        x, _ = simulate_round(scene, l, x, a_all[l], stream, cum_disp=float(disps[l]))
         states[l + 1] = x
         V[l + 1] = float(_disagreement_vec(x[:, None])[0])
-        if graphs is not None:
-            graphs.append(g)
-    return SimulationTrace(np.arange(rounds + 1), states, V, a_all, graphs,
+    return SimulationTrace(np.arange(rounds + 1), states, V, a_all, None,
                            float(scene.initial_states.mean()), float(x.mean()))
 
 

@@ -10,18 +10,16 @@ connected and window growth is bounded by t_k <= t_{k-1} + c t_{k-1}^delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .graph import (
     WeightedDigraph,
     complete_graph,
-    cycle_graph,
     empty_graph,
     from_edges,
-    is_balanced,
     is_strongly_connected,
     pair_graph,
     star_graph,
@@ -59,6 +57,11 @@ class ConnectivitySchedule:
         object.__setattr__(self, "times", t)
 
 
+def _next_milestone(prev: int, delta: float, c: float) -> int:
+    """t_k = t_{k-1} + c floor(t_{k-1}^delta), clamped to advance and floored."""
+    return prev + max(1, int(math.floor(c * math.floor(prev**delta) + 1e-9)))
+
+
 def schedule_times(delta: float, c: float, horizon: int) -> ConnectivitySchedule:
     """Milestones from the recursion t_k = t_{k-1} + c floor(t_{k-1}^delta).
 
@@ -71,14 +74,16 @@ def schedule_times(delta: float, c: float, horizon: int) -> ConnectivitySchedule
     if delta < 0 or c < 1:
         raise ValueError("need delta >= 0 and c >= 1")
     times = [1]
-    while True:
-        prev = times[-1]
-        inc = max(1, int(math.floor(c * math.floor(prev**delta) + 1e-9)))
-        nxt = prev + inc
-        if nxt > horizon:
-            break
+    while (nxt := _next_milestone(times[-1], delta, c)) <= horizon:
         times.append(nxt)
     return ConnectivitySchedule(delta, c, np.array(times, dtype=np.int64))
+
+
+def _times_and_next(schedule: ConnectivitySchedule) -> np.ndarray:
+    """The milestones plus the next one, which lies past the horizon, so
+    every t <= horizon falls inside a window."""
+    last = int(schedule.times[-1])
+    return np.append(schedule.times, _next_milestone(last, schedule.delta, schedule.c))
 
 
 def window_indices(schedule: ConnectivitySchedule, i: int, t: int) -> tuple[int, int]:
@@ -97,13 +102,6 @@ def window_indices(schedule: ConnectivitySchedule, i: int, t: int) -> tuple[int,
     return k_i, k_tilde
 
 
-def is_strongly_connected_presence(adj: np.ndarray) -> bool:
-    """Strong connectivity of a boolean presence matrix (adj[i, j]: j -> i)."""
-    from .graph import _reaches_all
-
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
-
-
 def _earliest_completions(trace: Sequence[WeightedDigraph]) -> np.ndarray:
     """comp[s] = earliest e > s with the union over times [s, e) strongly
     connected, or horizon + 2 if no window starting at s completes.
@@ -113,6 +111,8 @@ def _earliest_completions(trace: Sequence[WeightedDigraph]) -> np.ndarray:
     all values in one pass.  Entries are indexed 1..horizon + 1.
     """
     horizon = len(trace)
+    if not horizon:
+        raise ValueError("trace must be nonempty")
     n = trace[0].n
     INF = horizon + 2
     comp = np.full(horizon + 2, INF, dtype=np.int64)
@@ -122,7 +122,7 @@ def _earliest_completions(trace: Sequence[WeightedDigraph]) -> np.ndarray:
         if e < s:
             e = s
         while True:
-            if e > s and is_strongly_connected_presence(counts > 0):
+            if e > s and is_strongly_connected(counts > 0):
                 comp[s] = e
                 break
             if e > horizon:
@@ -160,6 +160,14 @@ def _feasible_milestones(comp: np.ndarray, horizon: int, delta: float, c: float
     return feasible, parent
 
 
+def _final_milestones(feasible: np.ndarray, horizon: int, delta: float, c: float
+                      ) -> list[int]:
+    """Feasible milestones whose deadline passes the end of the trace: the
+    final window starting there is censored rather than failed."""
+    return [s for s in range(1, horizon + 2)
+            if feasible[s] and s + c * float(s) ** delta > horizon + _BOUND_SLACK]
+
+
 def verify_joint_connectivity(
     trace: Sequence[WeightedDigraph], delta: float, c: float
 ) -> tuple[bool, ConnectivitySchedule | None]:
@@ -174,13 +182,10 @@ def verify_joint_connectivity(
     tracked).  Returns a witness schedule when the bound holds.
     """
     trace = list(trace)
-    if not trace:
-        raise ValueError("trace must be nonempty")
     horizon = len(trace)
     comp = _earliest_completions(trace)
     feasible, parent = _feasible_milestones(comp, horizon, delta, c)
-    ok = [s for s in range(1, horizon + 2)
-          if feasible[s] and s + c * float(s) ** delta > horizon + _BOUND_SLACK]
+    ok = _final_milestones(feasible, horizon, delta, c)
     if not ok:
         return False, None
     chain = [max(ok)]
@@ -200,15 +205,12 @@ def minimal_delta(
     window-completion table is delta-independent and computed once.
     """
     trace = list(trace)
-    if not trace:
-        raise ValueError("trace must be nonempty")
     horizon = len(trace)
     comp = _earliest_completions(trace)
 
     def passes(delta: float) -> bool:
         feasible, _ = _feasible_milestones(comp, horizon, delta, c)
-        return any(feasible[s] and s + c * float(s) ** delta > horizon + _BOUND_SLACK
-                   for s in range(1, horizon + 2))
+        return bool(_final_milestones(feasible, horizon, delta, c))
 
     steps = int(round(grid_max / grid_step))
     if not passes(grid_max):
@@ -216,10 +218,9 @@ def minimal_delta(
         if not is_strongly_connected(whole):
             raise ValueError("joint connectivity never completes within the trace")
         raise ValueError("no delta on the grid certifies this trace")
-    lo, hi = -1, steps  # grid index of smallest passing delta in (lo, hi]
     if passes(0.0):
         return 0.0
-    lo = 0
+    lo, hi = 0, steps  # grid index of smallest passing delta in (lo, hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if passes(mid * grid_step):
@@ -294,16 +295,10 @@ class ExtensibleBlockProcess(TopologyProcess):
             raise ValueError("base graph must have symmetric weights")
         self.n = base.n
         self.base = base
-        sched = schedule_times(delta, c, horizon)
-        times = list(sched.times)
-        # one milestone past the horizon so every t <= horizon has a window
-        prev = times[-1]
-        times.append(prev + max(1, int(math.floor(c * math.floor(prev**delta) + 1e-9))))
-        self.schedule = sched
-        self._times = np.array(times, dtype=np.int64)
+        self.schedule = schedule_times(delta, c, horizon)
+        self._times = _times_and_next(self.schedule)
         self._pairs = [(j, i, w) for j, i, w in base.edges() if j < i]
         self._cache: dict[tuple[int, int], WeightedDigraph] = {}
-        self._horizon = horizon
 
     def graph_at(self, t: int) -> WeightedDigraph:
         k = int(np.searchsorted(self._times, t, side="right")) - 1
@@ -341,11 +336,7 @@ class AdversarialProcess(TopologyProcess):
         self.delta = delta
         self.c = c
         self.horizon = horizon
-        times = [1]
-        while times[-1] <= horizon:
-            prev = times[-1]
-            times.append(prev + max(1, int(math.floor(c * math.floor(prev**delta) + 1e-9))))
-        self.times = np.array(times, dtype=np.int64)
+        self.times = _times_and_next(schedule_times(delta, c, horizon))
         self._complete = complete_graph(n)
         self._pair = pair_graph(n)
         starts = self.times[:-1]
@@ -437,18 +428,6 @@ def cycle_edge_components(n: int) -> list[WeightedDigraph]:
         u, v = k, (k + 1) % n
         comps.append(from_edges(n, [(u, v, 1.0), (v, u, 1.0)], 1.0))
     return comps
-
-
-def periodic_process(components: Sequence[WeightedDigraph], period: int) -> PeriodicProcess:
-    return PeriodicProcess(components, period)
-
-
-def adversarial_process(gains, delta: float, c: float, n: int, horizon: int) -> AdversarialProcess:
-    return AdversarialProcess(gains, delta, c, n, horizon)
-
-
-def random_block_process(K: int, mu: float, p: float, n: int, seed: int) -> RandomBlockProcess:
-    return RandomBlockProcess(K, mu, p, n, seed)
 
 
 def write_topology_text(graphs: Sequence[WeightedDigraph]) -> str:

@@ -42,8 +42,14 @@ class TestRunExperiment:
         assert Path(report.artifacts["consensus_stats"]).exists()
         cfg2 = _small_mc_config(tmp_path, out2)
         cli.run_experiment(cfg2)
-        a = (out1 / "mean_V.csv").read_bytes()
-        b = (out2 / "mean_V.csv").read_bytes()
+        for name in ("mean_V.csv", "consensus_stats.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_rate_study_fits_independent_of_out_dir(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            cli.run_experiment(_small_mc_config(tmp_path, out, kind="rate_study"))
+        a, b = ((out / "fits.csv").read_bytes() for out in outs)
         assert a == b
 
     def test_protocol_run_trace(self, tmp_path):
@@ -109,6 +115,11 @@ class TestMain:
         cfg = _write(tmp_path, "bad.json", {"kind": "monte_carlo"})
         assert cli.main(["run", cfg]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    def test_unknown_key_exit_two(self, tmp_path, capsys):
+        cfg = _small_mc_config(tmp_path, tmp_path / "out", replicaz=50)
+        assert cli.main(["run", cfg]) == 2
+        assert "replicaz" in capsys.readouterr().err
 
     def test_unknown_kind_exit_two(self, tmp_path):
         cfg = _write(tmp_path, "bad2.json", {"kind": "frobnicate"})

@@ -46,33 +46,33 @@ class TestDesignGainSchedule:
 class TestGainValue:
     def test_power_with_offset(self):
         g = cl.GainSchedule("power", alpha=1.0, t_star=30.0, exponent=0.99)
-        assert D.gain_value(g, 1) == pytest.approx(1 / 31)
+        assert g.value(1) == pytest.approx(1 / 31)
 
     def test_power_alpha_over_t(self):
         g = cl.GainSchedule("power", alpha=2.0, t_star=0.0, exponent=1.0)
-        assert D.gain_value(g, 4) == pytest.approx(0.5)
+        assert g.value(4) == pytest.approx(0.5)
 
     def test_log_corrected(self):
         g = cl.GainSchedule("log_corrected", alpha=1.0, t_star=0.0)
         t = round(math.e**2)
-        assert D.gain_value(g, t) == pytest.approx(1 / (math.sqrt(t) * math.log(t)))
-        assert D.gain_value(g, t) == pytest.approx(1 / (2 * math.sqrt(t)), rel=0.03)
+        assert g.value(t) == pytest.approx(1 / (math.sqrt(t) * math.log(t)))
+        assert g.value(t) == pytest.approx(1 / (2 * math.sqrt(t)), rel=0.03)
 
     def test_log_corrected_rejects_log_of_one(self):
         g = cl.GainSchedule("log_corrected", alpha=1.0, t_star=0.0)
         with pytest.raises(ValueError):
-            D.gain_value(g, 1)
+            g.value(1)
 
     def test_table_bounds(self):
         g = cl.GainSchedule("table", table=np.array([0.3, 0.2, 0.1]))
-        assert D.gain_value(g, 3) == pytest.approx(0.1)
+        assert g.value(3) == pytest.approx(0.1)
         with pytest.raises(ValueError):
-            D.gain_value(g, 4)
+            g.value(4)
 
     def test_time_starts_at_one(self):
         g = cl.GainSchedule("constant", alpha=0.1)
         with pytest.raises(ValueError):
-            D.gain_value(g, 0)
+            g.value(0)
 
 
 class TestMakeNoise:
@@ -133,7 +133,7 @@ class TestMakeNoise:
 class TestAggregateNoise:
     def test_zero_noise_zero_vector(self):
         g = G.pair_graph(3)
-        out = D.aggregate_noise(g, D.make_noise("zero"), 1, 0)
+        out = D.EdgeNoiseSampler(D.make_noise("zero"), g.n, 0).aggregate(g, 1)
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_pair_graph_covariance(self):

@@ -123,6 +123,7 @@ class TestStrongConnectivity:
                         adj[i, j] = True
                 g = G.WeightedDigraph(n, adj.astype(float), 1.0)
                 assert G.is_strongly_connected(g) == closure_strongly_connected(adj)
+                assert G.is_strongly_connected(adj) == closure_strongly_connected(adj)
 
     def test_exhaustive_n5(self):
         # all 2^20 digraphs on 5 nodes against a batched closure oracle
