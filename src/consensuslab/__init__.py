@@ -26,21 +26,15 @@ from .dynamics import (
     monte_carlo_V,
     run,
     step,
-    transition_product,
 )
 from .graph import (
-    UnionGraph,
     WeightedDigraph,
-    canonical_graph,
     complete_graph,
     complete_pair_eigenbasis,
     cycle_graph,
     degrees,
     empty_graph,
     from_edges,
-    gershgorin_bound,
-    graph_from_text,
-    graph_to_text,
     is_balanced,
     is_strongly_connected,
     laplacian,

@@ -35,6 +35,14 @@ def _req(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _check_keys(cfg: dict, known, path: str) -> None:
+    """Reject the keys of a config section that its kind does not read."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {[path + k for k in unknown]}; "
+                          f"this section reads {sorted(known)}")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -52,20 +60,30 @@ def load_config(path: str) -> dict:
 def build_gains(cfg: dict, path: str = "gains.") -> dynamics.GainSchedule:
     kind = _req(cfg, "kind", path)
     if kind == "theorem_design":
+        _check_keys(cfg, ("kind", "n", "c", "a_max", "delta"), path)
         return dynamics.design_gain_schedule(
             int(_req(cfg, "n", path)), float(_req(cfg, "c", path)),
             float(_req(cfg, "a_max", path)), float(_req(cfg, "delta", path)))
     if kind == "table":
+        _check_keys(cfg, ("kind", "values"), path)
         return dynamics.GainSchedule("table", table=np.asarray(_req(cfg, "values", path), dtype=float))
     if kind in ("constant", "power", "log_corrected"):
+        _check_keys(cfg, ("kind", "alpha", "t_star", "exponent", "shift"), path)
         return dynamics.GainSchedule(
             kind, alpha=float(cfg.get("alpha", 1.0)), t_star=float(cfg.get("t_star", 0.0)),
             exponent=float(cfg.get("exponent", 1.0)), shift=float(cfg.get("shift", 0.0)))
     raise ConfigError(f"unknown gain kind '{kind}' at '{path}kind'")
 
 
+# noise kind -> the keys `make_noise` reads for it besides "kind"
+_NOISE_KEYS = {"zero": (), "iid_gaussian": ("v", "std"), "iid_uniform": ("v", "half_width"),
+               "m_dependent_ma": ("v", "theta", "m"), "martingale_difference": ("v",)}
+
+
 def build_noise(cfg: dict, path: str = "noise.") -> dynamics.NoiseModel:
     kind = _req(cfg, "kind", path)
+    if kind in _NOISE_KEYS:
+        _check_keys(cfg, ("kind", *_NOISE_KEYS[kind]), path)
     try:
         return dynamics.make_noise(
             kind, v=float(cfg.get("v", 0.0)),
@@ -79,6 +97,7 @@ def _build_graph(cfg: dict, path: str) -> graph.WeightedDigraph:
     n = int(_req(cfg, "n", path))
     if "builder" in cfg:
         name = cfg["builder"]
+        _check_keys(cfg, ("n", "builder", "center") if name == "star" else ("n", "builder"), path)
         builders = {
             "complete": graph.complete_graph,
             "pair": graph.pair_graph,
@@ -88,6 +107,7 @@ def _build_graph(cfg: dict, path: str) -> graph.WeightedDigraph:
         if name not in builders:
             raise ConfigError(f"unknown graph builder '{name}' at '{path}builder'")
         return builders[name](n)
+    _check_keys(cfg, ("n", "edges", "a_max"), path)
     edges = [(int(j) - 1, int(i) - 1, float(w)) for j, i, w in _req(cfg, "edges", path)]
     return graph.from_edges(n, edges, cfg.get("a_max"))
 
@@ -96,8 +116,10 @@ def build_process(cfg: dict, gains: dynamics.GainSchedule | None, horizon: int,
                   seed: int, path: str = "topology.") -> topology.TopologyProcess:
     kind = _req(cfg, "kind", path)
     if kind == "fixed":
+        _check_keys(cfg, ("kind", "graph"), path)
         return topology.FixedProcess(_build_graph(_req(cfg, "graph", path), path + "graph."))
     if kind == "periodic":
+        _check_keys(cfg, ("kind", "n", "builder"), path)
         n = int(_req(cfg, "n", path))
         builder = cfg.get("builder", "star_rotation")
         if builder == "star_rotation":
@@ -108,16 +130,19 @@ def build_process(cfg: dict, gains: dynamics.GainSchedule | None, horizon: int,
             raise ConfigError(f"unknown periodic builder '{builder}' at '{path}builder'")
         return topology.PeriodicProcess(comps, len(comps))
     if kind == "extensible_block":
+        _check_keys(cfg, ("kind", "base", "delta", "c"), path)
         base = _build_graph(_req(cfg, "base", path), path + "base.")
         return topology.ExtensibleBlockProcess(
             base, float(_req(cfg, "delta", path)), float(_req(cfg, "c", path)), horizon)
     if kind == "adversarial":
+        _check_keys(cfg, ("kind", "n", "delta", "c"), path)
         if gains is None:
             raise ConfigError("adversarial topology requires a gains section")
         return topology.AdversarialProcess(
             gains, float(_req(cfg, "delta", path)), float(_req(cfg, "c", path)),
             int(_req(cfg, "n", path)), horizon)
     if kind == "random_block":
+        _check_keys(cfg, ("kind", "K", "mu", "p", "n", "seed"), path)
         return topology.RandomBlockProcess(
             int(_req(cfg, "K", path)), float(_req(cfg, "mu", path)),
             float(_req(cfg, "p", path)), int(_req(cfg, "n", path)),
@@ -131,6 +156,7 @@ def build_x1(cfg, n: int) -> np.ndarray:
     if isinstance(cfg, dict):
         kind = cfg.get("kind", "linspace")
         if kind == "linspace":
+            _check_keys(cfg, ("kind", "lo", "hi"), "x1.")
             return np.linspace(float(cfg.get("lo", 0.0)), float(cfg.get("hi", 1.0)), n)
         raise ConfigError(f"unknown x1 kind '{kind}'")
     arr = np.asarray(cfg, dtype=float)
@@ -543,9 +569,7 @@ def _prepare(config, overrides: dict | None) -> tuple[dict, str]:
     kind = _req(cfg, "kind", "")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment kind '{kind}' at 'kind'")
-    unknown = sorted(set(cfg) - EXPERIMENTS[kind][1])
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown} for kind '{kind}'")
+    _check_keys(cfg, EXPERIMENTS[kind][1], "")
     out_dir = cfg.get("out_dir") or os.environ.get(ENV_OUT_DIR) or "out"
     os.makedirs(out_dir, exist_ok=True)
     return cfg, out_dir
@@ -627,7 +651,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the randomized verification suites")
     p_ver.add_argument("--cases", type=int, default=500)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--out-dir", default=None)
 
     p_plot = sub.add_parser("plot", help="render a CSV artifact as SVG")
     p_plot.add_argument("csv")

@@ -10,9 +10,10 @@ for the Monte Carlo path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .rng import (
     TAG_INNOVATION,
     TAG_REPLICA,
     StreamPool,
-    philox_key,
 )
 from .topology import AdversarialProcess, TopologyProcess
 
@@ -293,7 +293,6 @@ class SimulationTrace:
     states: np.ndarray
     disagreement: np.ndarray
     gains_used: np.ndarray
-    realized_graphs: list[WeightedDigraph] | None
     initial_average: float
     consensus_value: float
 
@@ -304,12 +303,21 @@ def _disagreement_vec(X: np.ndarray) -> np.ndarray:
     return np.einsum("ir,ir->r", C, C)
 
 
+def _advance(process: TopologyProcess, a_all: np.ndarray, x: np.ndarray, horizon: int,
+             w_hat: Callable[[WeightedDigraph, int], np.ndarray]) -> Iterator[np.ndarray]:
+    """Yield the state after each step t = 1..horizon; w_hat(g, t) is the
+    aggregate noise of step t, shaped like x."""
+    for t in range(1, horizon + 1):
+        g = process.graph_at(t)
+        x = step(x, g, a_all[t - 1], w_hat(g, t))
+        yield x
+
+
 def run(process: TopologyProcess, gains: GainSchedule, noise: NoiseModel,
-        x1: Sequence[float], horizon: int, seed: int,
-        record_graphs: bool = False) -> SimulationTrace:
+        x1: Sequence[float], horizon: int, seed: int) -> SimulationTrace:
     """Iterate the protocol from t = 1 to horizon with derived noise streams."""
-    x = np.asarray(x1, dtype=float).copy()
-    n = x.size
+    x1 = np.asarray(x1, dtype=float)
+    n = x1.size
     if process.n != n:
         raise ValueError("process and initial state disagree on n")
     sampler = EdgeNoiseSampler(noise, n, seed)
@@ -317,22 +325,11 @@ def run(process: TopologyProcess, gains: GainSchedule, noise: NoiseModel,
     a_all = gains.values(ts)
     states = np.empty((horizon + 1, n))
     V = np.empty(horizon + 1)
-    graphs: list[WeightedDigraph] | None = [] if record_graphs else None
-    states[0] = x
-    V[0] = float(_disagreement_vec(x[:, None])[0])
-    for t in range(1, horizon + 1):
-        g = process.graph_at(t)
-        L = _cached_laplacian(g)
-        a = a_all[t - 1]
-        w_hat = sampler.aggregate(g, t)
-        x = x - a * (L @ x) + a * w_hat
+    steps = _advance(process, a_all, x1, horizon, sampler.aggregate)
+    for t, x in enumerate(itertools.chain([x1], steps)):
         states[t] = x
         V[t] = float(_disagreement_vec(x[:, None])[0])
-        if graphs is not None:
-            graphs.append(g)
-    return SimulationTrace(ts, states, V, a_all, graphs,
-                           float(np.mean(np.asarray(x1, dtype=float))),
-                           float(x.mean()))
+    return SimulationTrace(ts, states, V, a_all, float(x1.mean()), float(x.mean()))
 
 
 @dataclass
@@ -363,23 +360,17 @@ def monte_carlo_V(process: TopologyProcess, gains: GainSchedule, noise: NoiseMod
     ts = np.arange(1, horizon + 2)
     if process.deterministic:
         sampler = EdgeNoiseSampler(noise, n, seed)
-        a_all = gains.values(ts)
         X = np.tile(x1[:, None], (1, replicas))
         meanV = np.empty(horizon + 1)
         seV = np.empty(horizon + 1)
-        v = _disagreement_vec(X)
-        meanV[0], seV[0] = v.mean(), v.std(ddof=1) / math.sqrt(replicas)
-        for t in range(1, horizon + 1):
-            g = process.graph_at(t)
-            L = _cached_laplacian(g)
-            a = a_all[t - 1]
-            X = X - a * (L @ X) + a * sampler.aggregate_batch(g, t, replicas)
+        blocks = _advance(process, gains.values(ts), X, horizon,
+                          lambda g, t: sampler.aggregate_batch(g, t, replicas))
+        for t, X in enumerate(itertools.chain([X], blocks)):
             v = _disagreement_vec(X)
             meanV[t] = v.mean()
             seV[t] = v.std(ddof=1) / math.sqrt(replicas)
         return MonteCarloResult(ts, meanV, seV, X.T.copy(), replicas)
 
-    key = philox_key(seed)
     V_all = np.empty((replicas, horizon + 1))
     finals = np.empty((replicas, n))
     for r in range(replicas):
@@ -392,17 +383,6 @@ def monte_carlo_V(process: TopologyProcess, gains: GainSchedule, noise: NoiseMod
     meanV = V_all.mean(axis=0)
     seV = V_all.std(axis=0, ddof=1) / math.sqrt(replicas)
     return MonteCarloResult(ts, meanV, seV, finals, replicas)
-
-
-def transition_product(process: TopologyProcess, gains: GainSchedule,
-                       i: int, t: int) -> np.ndarray:
-    """Ordered product (I - a(t)L(t)) ... (I - a(i)L(i)); identity if t < i."""
-    n = process.n
-    out = np.eye(n)
-    for l in range(i, t + 1):
-        A = np.eye(n) - gains.value(l) * _cached_laplacian(process.graph_at(l))
-        out = A @ out
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,16 @@
 
 Conventions
 -----------
-Nodes are 0-based internally and 1-based in all text I/O.  The weight
-matrix follows the receiver-row convention: `weights[i, j]` is the weight
-of the directed edge (j, i), i.e. what node i applies to information
-received from node j.  Zero encodes absence; every present edge weight
-must lie in [1, a_max].
+Nodes are 0-based.  The weight matrix follows the receiver-row
+convention: `weights[i, j]` is the weight of the directed edge (j, i),
+i.e. what node i applies to information received from node j.  Zero
+encodes absence; every present edge weight must lie in [1, a_max].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,27 +58,6 @@ class WeightedDigraph:
         return int(np.count_nonzero(self.weights))
 
 
-@dataclass(frozen=True, eq=False)
-class UnionGraph:
-    """Accumulated union of digraphs over a time window.
-
-    `edge_present[i, j]` is True iff edge (j, i) appeared at least once;
-    `total_weight[i, j]` sums the weights over all appearances (the only
-    multi-edge information the downstream sums need).
-    """
-
-    n: int
-    edge_present: np.ndarray
-    total_weight: np.ndarray
-
-    def __post_init__(self):
-        if not np.array_equal(self.edge_present, self.total_weight > 0):
-            raise ValueError("edge_present must match total_weight > 0")
-
-
-GraphLike = Union[WeightedDigraph, UnionGraph]
-
-
 def empty_graph(n: int, a_max: float = 1.0) -> WeightedDigraph:
     return WeightedDigraph(n, np.zeros((n, n)), a_max)
 
@@ -108,15 +86,6 @@ def pair_graph(n: int) -> WeightedDigraph:
     w = np.zeros((n, n))
     w[0, 1] = w[1, 0] = 1.0
     return WeightedDigraph(n, w, 1.0)
-
-
-def canonical_graph(n: int, kind: str) -> WeightedDigraph:
-    """The two canonical benchmark graphs: "complete" or "pair"."""
-    if kind == "complete":
-        return complete_graph(n)
-    if kind == "pair":
-        return pair_graph(n)
-    raise ValueError(f"unknown canonical graph kind: {kind!r}")
 
 
 def cycle_graph(n: int) -> WeightedDigraph:
@@ -165,62 +134,32 @@ def is_balanced(g: WeightedDigraph, tol: float = DEFAULT_BALANCE_TOL) -> bool:
     return bool(np.all(np.abs(din - dout) <= tol))
 
 
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    # adj[i, j]: edge j -> i; we walk sender -> receiver, so follow columns.
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        j = stack.pop()
-        for i in np.nonzero(adj[:, j])[0]:
-            if not seen[i]:
-                seen[i] = True
-                stack.append(int(i))
-    return bool(seen.all())
-
-
-def is_strongly_connected(g: GraphLike | np.ndarray) -> bool:
+def is_strongly_connected(g: WeightedDigraph | np.ndarray) -> bool:
     """Directed path between every ordered node pair.
 
-    `g` is a graph, a union, or a boolean presence matrix in the
-    receiver-row convention (adj[i, j]: edge j -> i).  Node 0 must reach
-    every node and be reachable from every node, which is equivalent to
-    strong connectivity.
+    `g` is a graph or any square matrix in the receiver-row convention,
+    where a nonzero entry [i, j] is an edge j -> i.  The reflexive closure
+    (I | A)^(2^k) covers every path of length at most 2^k, so k =
+    ceil(log2(n - 1)) boolean squarings reach all paths of length n - 1.
     """
-    if isinstance(g, WeightedDigraph):
-        adj = g.weights != 0
-    elif isinstance(g, UnionGraph):
-        adj = g.edge_present
-    else:
-        adj = g
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
+    adj = g.weights if isinstance(g, WeightedDigraph) else np.asarray(g)
+    n = adj.shape[0]
+    reach = (adj != 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 2).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
-def union(graphs: Sequence[WeightedDigraph]) -> UnionGraph:
-    """Union of digraphs: presence is OR-ed, weights accumulate."""
+def union(graphs: Sequence[WeightedDigraph]) -> np.ndarray:
+    """Summed weight matrix of digraphs; a nonzero entry marks an edge
+    present at least once."""
     graphs = list(graphs)
     if not graphs:
         raise ValueError("cannot unite an empty sequence of graphs")
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("all graphs in a union must share the node count")
-    total = np.zeros((n, n))
-    for g in graphs:
-        total += g.weights
-    return UnionGraph(n, total > 0, total)
-
-
-def gershgorin_bound(g: WeightedDigraph) -> float:
-    """Circle-theorem bound on lambda_max(L + L').
-
-    Returns max_i (2 L_ii + sum_{j != i} |L_ji + L_ij|), which is at most
-    4 (n-1) a_max for unit-lower-bounded weights.
-    """
-    L = laplacian(g)
-    s = L + L.T
-    off = np.abs(s) - np.diag(np.abs(np.diag(s)))
-    return float(np.max(np.diag(s) + off.sum(axis=1)))
+    return np.sum([g.weights for g in graphs], axis=0)
 
 
 def complete_pair_eigenbasis(n: int) -> tuple[np.ndarray, tuple[float, float]]:
@@ -250,25 +189,3 @@ def complete_pair_eigenbasis(n: int) -> tuple[np.ndarray, tuple[float, float]]:
     res1 = float(np.linalg.norm(P @ np.diag(d1) @ P.T - L1))
     res2 = float(np.linalg.norm(P @ np.diag(d2) @ P.T - L2))
     return P, (res1, res2)
-
-
-def graph_to_text(g: WeightedDigraph) -> str:
-    """Edge-list form: header `n a_max`, then `j i w` lines (1-based)."""
-    lines = [f"{g.n} {g.a_max:.12g}"]
-    for j, i, w in g.edges():
-        lines.append(f"{j + 1} {i + 1} {w:.12g}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> WeightedDigraph:
-    """Parse the edge-list form written by `graph_to_text`."""
-    rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not rows:
-        raise ValueError("empty graph text")
-    head = rows[0].split()
-    n, a_max = int(head[0]), float(head[1])
-    edges = []
-    for ln in rows[1:]:
-        j, i, w = ln.split()
-        edges.append((int(j) - 1, int(i) - 1, float(w)))
-    return from_edges(n, edges, a_max)

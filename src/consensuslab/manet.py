@@ -11,8 +11,7 @@ states update by
     x_i <- x_i + a_l sum_{j in N_i} (x_j + xi_j + zeta_ij - x_i)
 
 with quantization noise xi per sender and reception noise zeta per
-ordered pair.  Group velocity moves everyone identically and never
-affects distances; relative speeds are held at their round-start value
+ordered pair.  Relative speeds are held at their round-start value
 within a round so positions integrate exactly.
 """
 
@@ -118,7 +117,6 @@ class ManetScene:
     period: float = 1.0
     xi_half_width: float = 1.0 / 16.0   # quantization noise, uniform
     zeta_std: float = 0.05              # reception noise, gaussian
-    group_velocity: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         p = np.asarray(self.positions0, dtype=float)
@@ -156,8 +154,7 @@ class ManetScene:
         s_l = self.relative_speed(l * self.period)
         disp = cum_disp + s_l * tau_offset
         u = np.stack([np.cos(self.headings), np.sin(self.headings)], axis=1)
-        drift = np.asarray(self.group_velocity, dtype=float) * (l * self.period + tau_offset)
-        return self.positions0 + u * disp + drift
+        return self.positions0 + u * disp
 
 
 def _alpha_vector(scene: ManetScene) -> np.ndarray:
@@ -221,7 +218,7 @@ def run_manet(scene: ManetScene, gains: GainSchedule, rounds: int, seed: int) ->
         x, _ = simulate_round(scene, l, x, a_all[l], stream, cum_disp=float(disps[l]))
         states[l + 1] = x
         V[l + 1] = float(_disagreement_vec(x[:, None])[0])
-    return SimulationTrace(np.arange(rounds + 1), states, V, a_all, None,
+    return SimulationTrace(np.arange(rounds + 1), states, V, a_all,
                            float(scene.initial_states.mean()), float(x.mean()))
 
 

@@ -122,7 +122,7 @@ def _earliest_completions(trace: Sequence[WeightedDigraph]) -> np.ndarray:
         if e < s:
             e = s
         while True:
-            if e > s and is_strongly_connected(counts > 0):
+            if e > s and is_strongly_connected(counts):
                 comp[s] = e
                 break
             if e > horizon:
@@ -214,8 +214,7 @@ def minimal_delta(
 
     steps = int(round(grid_max / grid_step))
     if not passes(grid_max):
-        whole = union(trace)
-        if not is_strongly_connected(whole):
+        if not is_strongly_connected(union(trace)):
             raise ValueError("joint connectivity never completes within the trace")
         raise ValueError("no delta on the grid certifies this trace")
     if passes(0.0):
@@ -428,24 +427,3 @@ def cycle_edge_components(n: int) -> list[WeightedDigraph]:
         u, v = k, (k + 1) % n
         comps.append(from_edges(n, [(u, v, 1.0), (v, u, 1.0)], 1.0))
     return comps
-
-
-def write_topology_text(graphs: Sequence[WeightedDigraph]) -> str:
-    """Serialize a trace as repeated `t=<k>` headers plus edge-list bodies."""
-    from .graph import graph_to_text
-
-    parts = []
-    for t, g in enumerate(graphs, start=1):
-        parts.append(f"t={t}\n{graph_to_text(g)}")
-    return "".join(parts)
-
-
-def read_topology_text(text: str) -> list[WeightedDigraph]:
-    from .graph import graph_from_text
-
-    chunks = [c for c in text.split("t=") if c.strip()]
-    graphs = []
-    for chunk in chunks:
-        _, _, body = chunk.partition("\n")
-        graphs.append(graph_from_text(body))
-    return graphs

@@ -121,6 +121,20 @@ class TestMain:
         assert cli.main(["run", cfg]) == 2
         assert "replicaz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,value,dotted", [
+        ("gains", {"kind": "power", "alpha": 1.0, "alpah": 1.0}, "gains.alpah"),
+        ("noise", {"kind": "iid_uniform", "v": 0.01, "std": 0.1}, "noise.std"),
+        ("topology", {"kind": "periodic", "builder": "star_rotation", "n": 4, "center": 0},
+         "topology.center"),
+        ("topology", {"kind": "fixed", "graph": {"builder": "cycle", "n": 4, "center": 1}},
+         "topology.graph.center"),
+        ("x1", {"kind": "linspace", "hi": 2.0, "mid": 1.0}, "x1.mid"),
+    ])
+    def test_unknown_nested_key_exit_two(self, tmp_path, capsys, section, value, dotted):
+        cfg = _small_mc_config(tmp_path, tmp_path / "out", **{section: value})
+        assert cli.main(["run", cfg]) == 2
+        assert dotted in capsys.readouterr().err
+
     def test_unknown_kind_exit_two(self, tmp_path):
         cfg = _write(tmp_path, "bad2.json", {"kind": "frobnicate"})
         assert cli.main(["run", cfg]) == 2
@@ -134,6 +148,13 @@ class TestMain:
         assert cli.main(["verify", "--cases", "40", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
+
+    def test_verify_has_no_out_dir(self, tmp_path):
+        target = tmp_path / "verify_out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--cases", "5", "--out-dir", str(target)])
+        assert exc.value.code == 2
+        assert not target.exists()
 
     def test_overrides(self, tmp_path):
         cfg = _small_mc_config(tmp_path, tmp_path / "o1")

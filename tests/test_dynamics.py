@@ -9,6 +9,16 @@ from consensuslab import graph as G
 from consensuslab import topology as T
 
 
+def transition_product(process, gains, i: int, t: int) -> np.ndarray:
+    """Ordered product (I - a(t)L(t)) ... (I - a(i)L(i)); identity if t < i."""
+    n = process.n
+    out = np.eye(n)
+    for l in range(i, t + 1):
+        A = np.eye(n) - gains.value(l) * G.laplacian(process.graph_at(l))
+        out = A @ out
+    return out
+
+
 class TestDesignGainSchedule:
     def test_n3_delta0_constants(self):
         g = D.design_gain_schedule(3, 1, 1.0, 0.0)
@@ -205,29 +215,23 @@ class TestRun:
         means = tr.states.mean(axis=1)
         np.testing.assert_allclose(means, means[0], atol=1e-13)
 
-    def test_records_graphs_when_asked(self):
-        proc = T.FixedProcess(G.pair_graph(2))
-        gains = cl.GainSchedule("constant", alpha=0.1)
-        tr = D.run(proc, gains, D.make_noise("zero"), [0.0, 1.0], 5, 0, record_graphs=True)
-        assert len(tr.realized_graphs) == 5
-
 
 class TestTransitionProduct:
     def test_empty_product_identity(self):
         proc = T.FixedProcess(G.complete_graph(3))
         gains = cl.GainSchedule("constant", alpha=0.1)
-        np.testing.assert_array_equal(D.transition_product(proc, gains, 5, 4), np.eye(3))
+        np.testing.assert_array_equal(transition_product(proc, gains, 5, 4), np.eye(3))
 
     def test_single_factor(self):
         proc = T.FixedProcess(G.pair_graph(3))
         gains = cl.GainSchedule("constant", alpha=0.2)
         expect = np.eye(3) - 0.2 * G.laplacian(G.pair_graph(3))
-        np.testing.assert_allclose(D.transition_product(proc, gains, 4, 4), expect)
+        np.testing.assert_allclose(transition_product(proc, gains, 4, 4), expect)
 
     def test_balanced_product_bistochastic(self):
         proc = T.PeriodicProcess(T.star_rotation_components(4), 4)
         gains = cl.GainSchedule("power", alpha=0.8, t_star=2.0, exponent=1.0)
-        phi = D.transition_product(proc, gains, 1, 20)
+        phi = transition_product(proc, gains, 1, 20)
         np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(phi.sum(axis=0), 1.0, atol=1e-12)
 
@@ -247,7 +251,7 @@ class TestExactSecondMoment:
         x1 = np.array([0.0, 1.0, 2.0])
         ts, EV = D.exact_second_moment(proc, gains, np.zeros((3, 3)), x1, 20)
         for t in (1, 5, 20):
-            phi = D.transition_product(proc, gains, 1, t - 1)
+            phi = transition_product(proc, gains, 1, t - 1)
             assert EV[t - 1] == pytest.approx(cl.disagreement(phi @ x1), rel=1e-12)
 
     def test_consensus_start_zero_noise_stays_zero(self):
