@@ -128,7 +128,7 @@ def build_process(cfg: dict, gains: dynamics.GainSchedule | None, horizon: int,
             comps = topology.cycle_edge_components(n)
         else:
             raise ConfigError(f"unknown periodic builder '{builder}' at '{path}builder'")
-        return topology.PeriodicProcess(comps, len(comps))
+        return topology.PeriodicProcess(comps)
     if kind == "extensible_block":
         _check_keys(cfg, ("kind", "base", "delta", "c"), path)
         base = _build_graph(_req(cfg, "base", path), path + "base.")
@@ -483,11 +483,13 @@ def _protocol_sections(cfg: dict, seed: int):
     """(horizon, gains, noise, process, x1) from the shared component sections."""
     horizon = int(_req(cfg, "horizon", ""))
     if "delta" in cfg:  # sweepable shared exponent for adversarial studies
-        delta = float(cfg["delta"])
-        if cfg.get("topology", {}).get("kind") == "adversarial":
-            cfg["topology"]["delta"] = delta
-        if cfg.get("gains", {}).get("kind") == "theorem_design":
-            cfg["gains"]["delta"] = delta
+        targets = [sec for sec, kind in (("topology", "adversarial"), ("gains", "theorem_design"))
+                   if cfg.get(sec, {}).get("kind") == kind]
+        if not targets:
+            raise ConfigError("top-level 'delta' is read only by an adversarial topology "
+                              "or theorem_design gains; neither is configured")
+        for sec in targets:
+            cfg[sec]["delta"] = float(cfg["delta"])
     gains = build_gains(_req(cfg, "gains", ""), "gains.")
     noise = build_noise(_req(cfg, "noise", ""), "noise.")
     process = build_process(_req(cfg, "topology", ""), gains, horizon, seed, "topology.")

@@ -162,34 +162,53 @@ def _alpha_vector(scene: ManetScene) -> np.ndarray:
     return np.full(scene.n, float(a[0])) if a.size == 1 else a
 
 
-def _round_probabilities(scene: ManetScene, l: int, cum_disp: float) -> np.ndarray:
-    """probs[i, j]: probability that j receives i's broadcast this round."""
+_ROUND_CHUNK = 64  # rounds of reception probabilities computed per vectorized pass
+
+
+def _round_probabilities(scene: ManetScene, start: int, stop: int,
+                         disps: np.ndarray) -> np.ndarray:
+    """probs[k, i, j]: probability that j receives i's broadcast in round
+    start + k, for the rounds start <= l < stop.
+
+    disps[l] is the cumulative displacement at time lT.  Each element is
+    computed with the same operations as `ManetScene.positions_at` for
+    sender i at tau = (i/n) T, so the table does not depend on the chunk.
+    """
     n = scene.n
     alpha = _alpha_vector(scene)
-    beta = scene.radio.beta
-    probs = np.empty((n, n))
-    for i in range(n):
-        tau = (i / n) * scene.period
-        pos = scene.positions_at(l, tau, cum_disp)
-        d = np.linalg.norm(pos - pos[i], axis=1)
-        probs[i] = reception_probability(alpha[i], beta, d)
-        probs[i, i] = 0.0
+    # scalar `**` per round: a vectorized power can differ in the last bit
+    s = np.array([scene.relative_speed(l * scene.period) for l in range(start, stop)])
+    tau = np.array([(i / n) * scene.period for i in range(n)])
+    disp = disps[start:stop, None] + s[:, None] * tau            # (rounds, sender)
+    u = np.stack([np.cos(scene.headings), np.sin(scene.headings)], axis=1)
+    pos = scene.positions0 + u * disp[:, :, None, None]          # (rounds, sender, agent, 2)
+    sender = scene.positions0 + u * disp[:, :, None]              # (rounds, sender, 2)
+    d = np.linalg.norm(pos - sender[:, :, None, :], axis=-1)
+    probs = reception_probability(alpha[None, :, None], scene.radio.beta, d)
+    idx = np.arange(n)
+    probs[:, idx, idx] = 0.0
     return probs
 
 
+def _reception_rows(scene: ManetScene, rounds: int):
+    """Yield the (n, n) reception probabilities of rounds 0 .. rounds-1,
+    computed _ROUND_CHUNK rounds at a time."""
+    disps = scene.round_displacements(rounds)
+    for start in range(0, rounds, _ROUND_CHUNK):
+        yield from _round_probabilities(scene, start, min(start + _ROUND_CHUNK, rounds), disps)
+
+
 def simulate_round(scene: ManetScene, l: int, states: Sequence[float], a_l: float,
-                   stream: StreamPool, cum_disp: float | None = None
+                   stream: StreamPool, probs: np.ndarray
                    ) -> tuple[np.ndarray, WeightedDigraph]:
     """One broadcast period: mutual receptions form the round's graph.
 
+    probs is the round's (n, n) reception table (`_reception_rows`).
     Draw order per round: reception uniforms (n, n), quantization noise
     xi (n,), reception noise zeta (n, n), all from the (round) substream.
     """
     x = np.asarray(states, dtype=float)
     n = scene.n
-    if cum_disp is None:
-        cum_disp = float(scene.round_displacements(l + 1)[l])
-    probs = _round_probabilities(scene, l, cum_disp)
     gen = stream.at(TAG_MANET_ROUND, 0, l)
     succ = gen.random((n, n)) < probs          # succ[i, j]: j receives i
     adj = succ & succ.T                        # mutual reception
@@ -208,14 +227,13 @@ def run_manet(scene: ManetScene, gains: GainSchedule, rounds: int, seed: int) ->
     schedule (round indexing starts at zero, gain tables at one)."""
     stream = StreamPool(seed)
     x = scene.initial_states.copy()
-    disps = scene.round_displacements(rounds)
     a_all = gains.values(np.arange(1, rounds + 2))
     states = np.empty((rounds + 1, scene.n))
     V = np.empty(rounds + 1)
     states[0] = x
     V[0] = float(_disagreement_vec(x[:, None])[0])
-    for l in range(rounds):
-        x, _ = simulate_round(scene, l, x, a_all[l], stream, cum_disp=float(disps[l]))
+    for l, probs in enumerate(_reception_rows(scene, rounds)):
+        x, _ = simulate_round(scene, l, x, a_all[l], stream, probs)
         states[l + 1] = x
         V[l + 1] = float(_disagreement_vec(x[:, None])[0])
     return SimulationTrace(np.arange(rounds + 1), states, V, a_all,
@@ -238,18 +256,17 @@ def run_manet_batch(scene: ManetScene, gains: GainSchedule, rounds: int,
     """Advance `runs` independent replicas together.
 
     All replicas share the deterministic motion, so reception
-    probabilities are computed once per round; per-replica draws ride the
-    leading axis of the (runs, n, n) round substream draws.
+    probabilities are computed once for all of them, a chunk of rounds at
+    a time; per-replica draws ride the leading axis of the (runs, n, n)
+    round substream draws.
     """
     stream = StreamPool(seed)
     n = scene.n
     X = np.tile(scene.initial_states, (runs, 1))
-    disps = scene.round_displacements(rounds)
     a_all = gains.values(np.arange(1, rounds + 1))
     meanV = np.empty(rounds + 1)
     meanV[0] = float(_disagreement_vec(X.T).mean())
-    for l in range(rounds):
-        probs = _round_probabilities(scene, l, float(disps[l]))
+    for l, probs in enumerate(_reception_rows(scene, rounds)):
         gen = stream.at(TAG_MANET_ROUND, 1, l)
         succ = gen.random((runs, n, n)) < probs[None, :, :]
         adj = succ & np.swapaxes(succ, 1, 2)

@@ -67,5 +67,7 @@ class StreamPool:
         for slot, part in zip((3, 2, 1), path):
             counter[slot] = np.uint64(int(part) & _MASK64)
         state["buffer_pos"] = 4  # discard buffered words from prior position
+        state["has_uint32"] = 0  # and a buffered 32-bit half of one
+        state["uinteger"] = 0
         self._bitgen.state = state
         return self._gen

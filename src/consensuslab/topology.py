@@ -9,6 +9,7 @@ connected and window growth is bounded by t_k <= t_{k-1} + c t_{k-1}^delta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -261,17 +262,16 @@ class FixedProcess(TopologyProcess):
 
 
 class PeriodicProcess(TopologyProcess):
-    """G(t) = components[(t-1) mod period]; the union must be strongly connected."""
+    """G(t) = components[(t-1) mod period], period = len(components); the
+    union must be strongly connected."""
 
-    def __init__(self, components: Sequence[WeightedDigraph], period: int):
+    def __init__(self, components: Sequence[WeightedDigraph]):
         components = list(components)
-        if period != len(components):
-            raise ValueError("period must equal the number of components")
         if not is_strongly_connected(union(components)):
             raise ValueError("union of periodic components must be strongly connected")
         self.n = components[0].n
         self.components = components
-        self.period = period
+        self.period = len(components)
 
     def graph_at(self, t: int) -> WeightedDigraph:
         return self.components[(t - 1) % self.period]
@@ -354,6 +354,20 @@ class AdversarialProcess(TopologyProcess):
         return self._complete if t == self.g1_times[k] else self._pair
 
 
+@functools.lru_cache(maxsize=4096)
+def _slot_graph(perm: tuple[int, ...], K: int, slot: int) -> WeightedDigraph:
+    """Slot `slot` of a connected block: the edges of the permutation cycle
+    whose index is slot mod K, in both directions (empty if there are none).
+
+    Graphs are immutable, so every process shares one object per key and
+    its Laplacian is computed once.
+    """
+    n = len(perm)
+    picked = [(perm[k], perm[(k + 1) % n]) for k in range(slot, n, K)]
+    sym = [(u, v, 1.0) for u, v in picked] + [(v, u, 1.0) for u, v in picked]
+    return from_edges(n, sym, 1.0) if sym else empty_graph(n)
+
+
 class RandomBlockProcess(TopologyProcess):
     """Random topologies whose connectivity probability decays like a power.
 
@@ -396,13 +410,8 @@ class RandomBlockProcess(TopologyProcess):
             return cached
         gen = substream(self._key, TAG_TOPOLOGY_BLOCK, block)
         if gen.random() < self.connection_probability(block):
-            perm = gen.permutation(self.n)
-            cyc = [(int(perm[k]), int(perm[(k + 1) % self.n])) for k in range(self.n)]
-            graphs = []
-            for slot in range(self.K):
-                picked = [(u, v, 1.0) for idx, (u, v) in enumerate(cyc) if idx % self.K == slot]
-                sym = [(u, v, w) for (u, v, w) in picked] + [(v, u, w) for (u, v, w) in picked]
-                graphs.append(from_edges(self.n, sym, 1.0) if sym else self._empty)
+            perm = tuple(int(v) for v in gen.permutation(self.n))
+            graphs = [_slot_graph(perm, self.K, slot) for slot in range(self.K)]
         else:
             graphs = [self._empty] * self.K
         self._cache[block] = graphs

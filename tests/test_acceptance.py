@@ -36,7 +36,7 @@ def _criterion(tag: str, ok: bool, detail: str) -> bool:
 
 def test_c1_rate_uniform_joint_connectivity():
     n, horizon, replicas = 5, 100_000, 500
-    proc = T.PeriodicProcess(T.star_rotation_components(n), n)
+    proc = T.PeriodicProcess(T.star_rotation_components(n))
     gains = D.design_gain_schedule(n, 1, 1.0, 0.0)
     noise = D.make_noise("iid_gaussian", v=0.01)
     mc = D.monte_carlo_V(proc, gains, noise, np.linspace(0, 1, n), horizon,
@@ -153,7 +153,7 @@ def _random_periodic_process(rng):
                 if rng.random() < 0.5:
                     w[i, j] = w[j, i] = float(rng.uniform(1.0, 2.0))
         comps.append(G.WeightedDigraph(n, w, 2.0))
-    return T.PeriodicProcess(comps, period)
+    return T.PeriodicProcess(comps)
 
 
 def test_c4_oracle_equivalence():
@@ -204,7 +204,7 @@ def test_c5_lemma_suites():
 
 def test_c6_unbiasedness_and_variance_control():
     n, horizon, replicas = 3, 5_000, 10_000
-    proc = T.PeriodicProcess(T.cycle_edge_components(n), n)
+    proc = T.PeriodicProcess(T.cycle_edge_components(n))
     noise = D.make_noise("iid_gaussian", v=0.01)
     x1 = np.array([0.0, 0.5, 1.0])
     variances = []

@@ -176,7 +176,7 @@ class TestStepLowerBound:
 
 class TestConsensusStats:
     def test_zero_noise_balanced_recovers_average(self):
-        proc = T.PeriodicProcess(T.cycle_edge_components(3), 3)
+        proc = T.PeriodicProcess(T.cycle_edge_components(3))
         gains = cl.GainSchedule("power", alpha=2.0, t_star=4.0, exponent=1.0)
         mc = D.monte_carlo_V(proc, gains, D.make_noise("zero"), [0.0, 0.5, 1.0], 400, 10, seed=0)
         stats = A.consensus_stats(mc.final_states, [0.0, 0.5, 1.0])
@@ -185,7 +185,7 @@ class TestConsensusStats:
         assert stats.target_average == 0.5
 
     def test_unbiased_within_four_stderr(self):
-        proc = T.PeriodicProcess(T.star_rotation_components(3), 3)
+        proc = T.PeriodicProcess(T.star_rotation_components(3))
         gains = cl.GainSchedule("power", alpha=1.0, t_star=4.0, exponent=1.0)
         nm = D.make_noise("iid_gaussian", v=0.02)
         mc = D.monte_carlo_V(proc, gains, nm, [0.0, 0.5, 1.0], 500, 4000, seed=11)

@@ -135,6 +135,22 @@ class TestMain:
         assert cli.main(["run", cfg]) == 2
         assert dotted in capsys.readouterr().err
 
+    def test_unread_top_level_delta_exit_two(self, tmp_path, capsys):
+        # periodic topology and power gains: nothing reads a top-level delta
+        cfg = _small_mc_config(tmp_path, tmp_path / "out", delta=0.9)
+        assert cli.main(["run", cfg]) == 2
+        assert "delta" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mean_V.csv").exists()
+
+    def test_top_level_delta_reaches_theorem_design_gains(self, tmp_path):
+        gains = {"kind": "theorem_design", "n": 4, "c": 1.0, "a_max": 1.0, "delta": 0.0}
+        cfg = _small_mc_config(tmp_path, tmp_path / "a", gains=gains, delta=0.3)
+        assert cli.main(["run", cfg]) == 0
+        cfg = _small_mc_config(tmp_path, tmp_path / "b", gains=gains | {"delta": 0.3})
+        assert cli.main(["run", cfg]) == 0
+        assert ((tmp_path / "a" / "mean_V.csv").read_bytes()
+                == (tmp_path / "b" / "mean_V.csv").read_bytes())
+
     def test_unknown_kind_exit_two(self, tmp_path):
         cfg = _write(tmp_path, "bad2.json", {"kind": "frobnicate"})
         assert cli.main(["run", cfg]) == 2

@@ -199,7 +199,7 @@ class TestRun:
         np.testing.assert_allclose(tr.disagreement, 0.0, atol=1e-30)
 
     def test_same_seed_identical(self):
-        proc = T.PeriodicProcess(T.star_rotation_components(4), 4)
+        proc = T.PeriodicProcess(T.star_rotation_components(4))
         gains = cl.GainSchedule("power", alpha=1.0, t_star=5.0, exponent=1.0)
         nm = D.make_noise("iid_uniform", v=0.01)
         tr1 = D.run(proc, gains, nm, np.linspace(0, 1, 4), 100, seed=7)
@@ -209,7 +209,7 @@ class TestRun:
         assert not np.array_equal(tr1.states, tr3.states)
 
     def test_balanced_zero_noise_preserves_average(self):
-        proc = T.PeriodicProcess(T.cycle_edge_components(4), 4)
+        proc = T.PeriodicProcess(T.cycle_edge_components(4))
         gains = cl.GainSchedule("constant", alpha=0.3)
         tr = D.run(proc, gains, D.make_noise("zero"), [0.0, 1.0, 0.5, 0.25], 100, seed=0)
         means = tr.states.mean(axis=1)
@@ -229,7 +229,7 @@ class TestTransitionProduct:
         np.testing.assert_allclose(transition_product(proc, gains, 4, 4), expect)
 
     def test_balanced_product_bistochastic(self):
-        proc = T.PeriodicProcess(T.star_rotation_components(4), 4)
+        proc = T.PeriodicProcess(T.star_rotation_components(4))
         gains = cl.GainSchedule("power", alpha=0.8, t_star=2.0, exponent=1.0)
         phi = transition_product(proc, gains, 1, 20)
         np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-12)
@@ -246,7 +246,7 @@ class TestExactSecondMoment:
         assert EV[1] == pytest.approx(0.1875, abs=1e-15)
 
     def test_zero_noise_equals_transient(self):
-        proc = T.PeriodicProcess(T.star_rotation_components(3), 3)
+        proc = T.PeriodicProcess(T.star_rotation_components(3))
         gains = cl.GainSchedule("power", alpha=0.5, t_star=1.0, exponent=1.0)
         x1 = np.array([0.0, 1.0, 2.0])
         ts, EV = D.exact_second_moment(proc, gains, np.zeros((3, 3)), x1, 20)
@@ -305,7 +305,7 @@ class TestMonteCarlo:
         np.testing.assert_allclose(mc.stderr_V, 0.0, atol=1e-16)
 
     def test_matches_exact_oracle(self):
-        proc = T.PeriodicProcess(T.star_rotation_components(3), 3)
+        proc = T.PeriodicProcess(T.star_rotation_components(3))
         gains = cl.GainSchedule("power", alpha=1.0, t_star=4.0, exponent=1.0)
         nm = D.make_noise("iid_uniform", v=0.05)
         x1 = np.array([0.0, 1.0, 2.0])
@@ -325,7 +325,7 @@ class TestMonteCarlo:
         assert ratio == pytest.approx(1 / math.sqrt(2), abs=0.08)
 
     def test_deterministic_given_seed(self):
-        proc = T.PeriodicProcess(T.cycle_edge_components(3), 3)
+        proc = T.PeriodicProcess(T.cycle_edge_components(3))
         gains = cl.GainSchedule("power", alpha=1.0, t_star=2.0, exponent=1.0)
         nm = D.make_noise("iid_gaussian", v=0.01)
         a = D.monte_carlo_V(proc, gains, nm, [0, 0.5, 1], 30, 50, seed=5)

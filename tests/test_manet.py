@@ -101,23 +101,69 @@ def _static_scene(n, radius, zeta_std=0.05, xi_half=0.0):
     )
 
 
+def _loop_probabilities(scene, l, cum_disp):
+    """Reception probabilities of round l, one sender at a time: the
+    reference for the vectorized table."""
+    n = scene.n
+    alpha = M._alpha_vector(scene)
+    probs = np.empty((n, n))
+    for i in range(n):
+        pos = scene.positions_at(l, (i / n) * scene.period, cum_disp)
+        d = np.linalg.norm(pos - pos[i], axis=1)
+        probs[i] = M.reception_probability(alpha[i], scene.radio.beta, d)
+        probs[i, i] = 0.0
+    return probs
+
+
+def _first_round_probabilities(scene):
+    return M._round_probabilities(scene, 0, 1, scene.round_displacements(1))[0]
+
+
+class TestRoundProbabilities:
+    # starts mid-chunk and crosses two chunk boundaries
+    START, STOP = M._ROUND_CHUNK // 2, 2 * M._ROUND_CHUNK + 7
+
+    @pytest.mark.parametrize("scene", [
+        *(M.scenario_preset(fig)[0] for fig in ("fig2", "fig3", "fig4")),
+        _static_scene(6, 1.7),
+    ], ids=["fig2", "fig3", "fig4", "static"])
+    def test_table_equals_per_sender_loop(self, scene):
+        disps = scene.round_displacements(self.STOP)
+        table = M._round_probabilities(scene, self.START, self.STOP, disps)
+        assert table.shape == (self.STOP - self.START, scene.n, scene.n)
+        ref = np.array([_loop_probabilities(scene, l, float(disps[l]))
+                        for l in range(self.START, self.STOP)])
+        np.testing.assert_array_equal(table, ref)
+
+    def test_rows_cover_every_round_once(self):
+        scene, _ = M.scenario_preset("fig4")
+        disps = scene.round_displacements(self.STOP)
+        rows = list(M._reception_rows(scene, self.STOP))
+        assert len(rows) == self.STOP
+        for l in (0, M._ROUND_CHUNK - 1, M._ROUND_CHUNK, self.STOP - 1):
+            np.testing.assert_array_equal(rows[l], _loop_probabilities(scene, l, float(disps[l])))
+        assert list(M._reception_rows(scene, 0)) == []
+
+
 class TestSimulateRound:
     def test_colocated_full_connectivity(self):
         scene = _static_scene(5, 0.0)
-        states, g = M.simulate_round(scene, 0, scene.initial_states, 0.05, StreamPool(1))
+        states, g = M.simulate_round(scene, 0, scene.initial_states, 0.05, StreamPool(1),
+                                     _first_round_probabilities(scene))
         assert g.num_edges == 5 * 4
 
     def test_one_round_exact_averaging(self):
         scene = _static_scene(4, 0.0, zeta_std=0.0, xi_half=0.0)
         x = np.array([0.0, 1.0, 2.0, 5.0])
-        new, _ = M.simulate_round(scene, 0, x, 1.0 / 4.0, StreamPool(2))
+        new, _ = M.simulate_round(scene, 0, x, 1.0 / 4.0, StreamPool(2),
+                                  _first_round_probabilities(scene))
         np.testing.assert_allclose(new, 2.0, atol=1e-12)
 
     def test_realized_graph_undirected_balanced(self):
         scene = _static_scene(6, 1.7)
         stream = StreamPool(3)
-        for l in range(30):
-            _, g = M.simulate_round(scene, l, scene.initial_states, 0.01, stream)
+        for l, probs in enumerate(M._reception_rows(scene, 30)):
+            _, g = M.simulate_round(scene, l, scene.initial_states, 0.01, stream, probs)
             np.testing.assert_array_equal(g.weights, g.weights.T)
             assert G.is_balanced(g, tol=0.0)
             assert set(np.unique(g.weights)) <= {0.0, 1.0}
@@ -146,7 +192,7 @@ class TestRunManet:
         gains = cl.GainSchedule("power", alpha=1.0, t_star=4.0, exponent=0.9)
         batch = M.run_manet_batch(scene, gains, rounds, runs, seed=21)
 
-        probs = M._round_probabilities(scene, 0, 0.0)
+        probs = _first_round_probabilities(scene)
         pair_prob = probs * probs.T  # mutual reception per unordered pair
 
         class PairProcess(T.TopologyProcess):

@@ -4,6 +4,7 @@ import pytest
 import consensuslab as cl
 from consensuslab import graph as G
 from consensuslab import topology as T
+from consensuslab.rng import TAG_TOPOLOGY_BLOCK, philox_key, substream
 
 
 class TestScheduleTimes:
@@ -70,7 +71,7 @@ class TestWindowIndices:
 class TestVerifyJointConnectivity:
     def test_period3_cycle(self):
         comps = T.cycle_edge_components(3)
-        proc = T.PeriodicProcess(comps, 3)
+        proc = T.PeriodicProcess(comps)
         trace = proc.trace(30)
         holds, witness = T.verify_joint_connectivity(trace, 0.0, 3.0)
         assert holds and witness is not None
@@ -101,7 +102,7 @@ class TestVerifyJointConnectivity:
 
 class TestMinimalDelta:
     def test_period3(self):
-        trace = T.PeriodicProcess(T.cycle_edge_components(3), 3).trace(60)
+        trace = T.PeriodicProcess(T.cycle_edge_components(3)).trace(60)
         assert T.minimal_delta(trace, 3.0) == 0.0
 
     def test_fixed_connected(self):
@@ -132,20 +133,16 @@ class TestMinimalDelta:
 
 class TestPeriodicProcess:
     def test_cycle_components(self):
-        proc = T.PeriodicProcess(T.cycle_edge_components(3), 3)
+        proc = T.PeriodicProcess(T.cycle_edge_components(3))
         assert proc.graph_at(1) is proc.graph_at(4)
 
     def test_fixed_single(self):
-        proc = T.PeriodicProcess([G.complete_graph(3)], 1)
+        proc = T.PeriodicProcess([G.complete_graph(3)])
         assert proc.graph_at(7) is proc.graph_at(1)
 
     def test_disconnected_union_rejected(self):
         with pytest.raises(ValueError):
-            T.PeriodicProcess([G.pair_graph(3), G.pair_graph(3)], 2)
-
-    def test_period_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            T.PeriodicProcess(T.cycle_edge_components(3), 2)
+            T.PeriodicProcess([G.pair_graph(3), G.pair_graph(3)])
 
 
 class TestAdversarialProcess:
@@ -211,6 +208,30 @@ class TestRandomBlockProcess:
             if u.any():
                 assert G.is_strongly_connected(u)
                 assert all(G.is_balanced(g, tol=0.0) for g in graphs)
+
+    def test_slot_graphs_shared_across_replicas(self):
+        # each slot graph equals a direct build from the block's own draws,
+        # and processes meeting the same permutation share one object
+        n, K = 4, 2
+        first = T.RandomBlockProcess(K, 0.3, 50.0, n, seed=1)
+        procs = (first, first.reseeded(2))
+        seen, keys = {}, []
+        for proc in procs:
+            keys.append(set())
+            for block in range(1, 40):
+                gen = substream(philox_key(proc.seed), TAG_TOPOLOGY_BLOCK, block)
+                assert gen.random() < proc.connection_probability(block)
+                perm = tuple(int(v) for v in gen.permutation(n))
+                cyc = [(perm[k], perm[(k + 1) % n]) for k in range(n)]
+                for slot in range(K):
+                    picked = cyc[slot::K]
+                    direct = G.from_edges(n, [(u, v, 1.0) for u, v in picked]
+                                          + [(v, u, 1.0) for u, v in picked], 1.0)
+                    g = proc.graph_at(1 + block * K + slot)
+                    np.testing.assert_array_equal(g.weights, direct.weights)
+                    assert seen.setdefault((perm, slot), g) is g
+                    keys[-1].add((perm, slot))
+        assert keys[0] & keys[1]
 
     def test_block_frequency_matches_probability(self):
         # empirical connection frequency within the binomial 99% interval
