@@ -303,6 +303,17 @@ def _disagreement_vec(X: np.ndarray) -> np.ndarray:
     return np.einsum("ir,ir->r", C, C)
 
 
+def _trace(ts: np.ndarray, x1: np.ndarray, steps: Iterator[np.ndarray],
+           gains_used: np.ndarray) -> SimulationTrace:
+    """Record x1 and every state `steps` yields, one row per entry of ts."""
+    states = np.empty((ts.size, x1.size))
+    V = np.empty(ts.size)
+    for k, x in enumerate(itertools.chain([x1], steps)):
+        states[k] = x
+        V[k] = float(_disagreement_vec(x[:, None])[0])
+    return SimulationTrace(ts, states, V, gains_used, float(x1.mean()), float(x.mean()))
+
+
 def _advance(process: TopologyProcess, a_all: np.ndarray, x: np.ndarray, horizon: int,
              w_hat: Callable[[WeightedDigraph, int], np.ndarray]) -> Iterator[np.ndarray]:
     """Yield the state after each step t = 1..horizon; w_hat(g, t) is the
@@ -323,13 +334,7 @@ def run(process: TopologyProcess, gains: GainSchedule, noise: NoiseModel,
     sampler = EdgeNoiseSampler(noise, n, seed)
     ts = np.arange(1, horizon + 2)
     a_all = gains.values(ts)
-    states = np.empty((horizon + 1, n))
-    V = np.empty(horizon + 1)
-    steps = _advance(process, a_all, x1, horizon, sampler.aggregate)
-    for t, x in enumerate(itertools.chain([x1], steps)):
-        states[t] = x
-        V[t] = float(_disagreement_vec(x[:, None])[0])
-    return SimulationTrace(ts, states, V, a_all, float(x1.mean()), float(x.mean()))
+    return _trace(ts, x1, _advance(process, a_all, x1, horizon, sampler.aggregate), a_all)
 
 
 @dataclass
@@ -341,6 +346,20 @@ class MonteCarloResult:
     stderr_V: np.ndarray
     final_states: np.ndarray | None  # (replicas, n); None for exact moments
     replicas: int
+
+
+def _summarize(ts: np.ndarray, X: np.ndarray, blocks: Iterator[np.ndarray]) -> MonteCarloResult:
+    """Mean and standard error of V over the replica columns of the (n, R)
+    block X and of every block `blocks` yields; the last block holds the
+    final states."""
+    replicas = X.shape[1]
+    meanV = np.empty(ts.size)
+    seV = np.empty(ts.size)
+    for k, X in enumerate(itertools.chain([X], blocks)):
+        v = _disagreement_vec(X)
+        meanV[k] = v.mean()
+        seV[k] = v.std(ddof=1) / math.sqrt(replicas)
+    return MonteCarloResult(ts, meanV, seV, X.T.copy(), replicas)
 
 
 def monte_carlo_V(process: TopologyProcess, gains: GainSchedule, noise: NoiseModel,
@@ -361,15 +380,9 @@ def monte_carlo_V(process: TopologyProcess, gains: GainSchedule, noise: NoiseMod
     if process.deterministic:
         sampler = EdgeNoiseSampler(noise, n, seed)
         X = np.tile(x1[:, None], (1, replicas))
-        meanV = np.empty(horizon + 1)
-        seV = np.empty(horizon + 1)
         blocks = _advance(process, gains.values(ts), X, horizon,
                           lambda g, t: sampler.aggregate_batch(g, t, replicas))
-        for t, X in enumerate(itertools.chain([X], blocks)):
-            v = _disagreement_vec(X)
-            meanV[t] = v.mean()
-            seV[t] = v.std(ddof=1) / math.sqrt(replicas)
-        return MonteCarloResult(ts, meanV, seV, X.T.copy(), replicas)
+        return _summarize(ts, X, blocks)
 
     V_all = np.empty((replicas, horizon + 1))
     finals = np.empty((replicas, n))

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .dynamics import GainSchedule, SimulationTrace, _disagreement_vec
+from .dynamics import GainSchedule, MonteCarloResult, SimulationTrace, _summarize, _trace
 from .graph import WeightedDigraph
 from .rng import TAG_MANET_ROUND, StreamPool
 
@@ -124,6 +124,9 @@ class ManetScene:
         x = np.asarray(self.initial_states, dtype=float)
         if p.ndim != 2 or p.shape[1] != 2 or h.shape != (p.shape[0],) or x.shape != (p.shape[0],):
             raise ValueError("positions0 (n,2), headings (n,), initial_states (n,) must agree")
+        if self.radio.alpha.size not in (1, p.shape[0]):
+            raise ValueError(f"radio.alpha has {self.radio.alpha.size} entries; "
+                             f"need 1 or n = {p.shape[0]}")
         for name, arr in (("positions0", p), ("headings", h), ("initial_states", x)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -198,88 +201,77 @@ def _reception_rows(scene: ManetScene, rounds: int):
         yield from _round_probabilities(scene, start, min(start + _ROUND_CHUNK, rounds), disps)
 
 
+def _round_update(scene: ManetScene, X: np.ndarray, a_l: float, gen: np.random.Generator,
+                  probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One broadcast period for a (runs, n) block of states: mutual
+    receptions form each run's graph.
+
+    probs is the round's (n, n) reception table (`_reception_rows`).
+    Draw order from gen: reception uniforms (runs, n, n), quantization
+    noise xi (runs, n), reception noise zeta (runs, n, n).  Returns the new
+    states and recv, recv[r, i, j] being true when i hears j in run r.
+    """
+    runs, n = X.shape
+    succ = gen.random((runs, n, n)) < probs    # succ[r, i, j]: j receives i
+    adj = succ & np.swapaxes(succ, 1, 2)       # mutual reception
+    idx = np.arange(n)
+    adj[:, idx, idx] = False
+    xi = gen.uniform(-scene.xi_half_width, scene.xi_half_width, (runs, n))
+    zeta = gen.normal(0.0, scene.zeta_std, (runs, n, n))
+    recv = np.swapaxes(adj, 1, 2)
+    term = (np.einsum("sij,sj->si", recv.astype(float), X + xi)
+            + (recv * zeta).sum(axis=2) - recv.sum(axis=2) * X)
+    return X + a_l * term, recv
+
+
 def simulate_round(scene: ManetScene, l: int, states: Sequence[float], a_l: float,
                    stream: StreamPool, probs: np.ndarray
                    ) -> tuple[np.ndarray, WeightedDigraph]:
-    """One broadcast period: mutual receptions form the round's graph.
-
-    probs is the round's (n, n) reception table (`_reception_rows`).
-    Draw order per round: reception uniforms (n, n), quantization noise
-    xi (n,), reception noise zeta (n, n), all from the (round) substream.
-    """
+    """Round l of a single run, drawn from the (round, run 0) substream;
+    returns the new states and the round's graph of mutual receptions."""
     x = np.asarray(states, dtype=float)
-    n = scene.n
-    gen = stream.at(TAG_MANET_ROUND, 0, l)
-    succ = gen.random((n, n)) < probs          # succ[i, j]: j receives i
-    adj = succ & succ.T                        # mutual reception
-    np.fill_diagonal(adj, False)
-    xi = gen.uniform(-scene.xi_half_width, scene.xi_half_width, n)
-    zeta = gen.normal(0.0, scene.zeta_std, (n, n))
-    recv = adj.T  # recv[i, j]: i hears j
-    term = recv @ (x + xi) + (recv * zeta).sum(axis=1) - recv.sum(axis=1) * x
-    new = x + a_l * term
-    graph = WeightedDigraph(n, recv.astype(float), 1.0)
-    return new, graph
+    X, recv = _round_update(scene, x[None, :], a_l, stream.at(TAG_MANET_ROUND, 0, l), probs)
+    return X[0], WeightedDigraph(scene.n, recv[0].astype(float), 1.0)
 
 
 def run_manet(scene: ManetScene, gains: GainSchedule, rounds: int, seed: int) -> SimulationTrace:
     """Iterate rounds l = 0 .. rounds-1; round l applies gain a(l+1) of the
     schedule (round indexing starts at zero, gain tables at one)."""
     stream = StreamPool(seed)
-    x = scene.initial_states.copy()
     a_all = gains.values(np.arange(1, rounds + 2))
-    states = np.empty((rounds + 1, scene.n))
-    V = np.empty(rounds + 1)
-    states[0] = x
-    V[0] = float(_disagreement_vec(x[:, None])[0])
-    for l, probs in enumerate(_reception_rows(scene, rounds)):
-        x, _ = simulate_round(scene, l, x, a_all[l], stream, probs)
-        states[l + 1] = x
-        V[l + 1] = float(_disagreement_vec(x[:, None])[0])
-    return SimulationTrace(np.arange(rounds + 1), states, V, a_all,
-                           float(scene.initial_states.mean()), float(x.mean()))
 
+    def states():
+        x = scene.initial_states
+        for l, probs in enumerate(_reception_rows(scene, rounds)):
+            x, _ = simulate_round(scene, l, x, a_all[l], stream, probs)
+            yield x
 
-@dataclass
-class ManetBatch:
-    """Vectorized multi-run summary: final states plus the mean V series."""
-
-    final_states: np.ndarray   # (runs, n)
-    final_range: np.ndarray    # (runs,)
-    final_mean: np.ndarray     # (runs,)
-    mean_V: np.ndarray         # (rounds + 1,)
-    runs: int
+    return _trace(np.arange(rounds + 1), scene.initial_states, states(), a_all)
 
 
 def run_manet_batch(scene: ManetScene, gains: GainSchedule, rounds: int,
-                    runs: int, seed: int) -> ManetBatch:
-    """Advance `runs` independent replicas together.
+                    runs: int, seed: int) -> MonteCarloResult:
+    """Advance `runs` independent replicas together; returns the mean and
+    standard error of V at rounds 0 .. rounds and the final states.
 
     All replicas share the deterministic motion, so reception
     probabilities are computed once for all of them, a chunk of rounds at
     a time; per-replica draws ride the leading axis of the (runs, n, n)
     round substream draws.
     """
+    if runs < 2:
+        raise ValueError("need at least 2 runs")
     stream = StreamPool(seed)
-    n = scene.n
-    X = np.tile(scene.initial_states, (runs, 1))
     a_all = gains.values(np.arange(1, rounds + 1))
-    meanV = np.empty(rounds + 1)
-    meanV[0] = float(_disagreement_vec(X.T).mean())
-    for l, probs in enumerate(_reception_rows(scene, rounds)):
-        gen = stream.at(TAG_MANET_ROUND, 1, l)
-        succ = gen.random((runs, n, n)) < probs[None, :, :]
-        adj = succ & np.swapaxes(succ, 1, 2)
-        idx = np.arange(n)
-        adj[:, idx, idx] = False
-        xi = gen.uniform(-scene.xi_half_width, scene.xi_half_width, (runs, n))
-        zeta = gen.normal(0.0, scene.zeta_std, (runs, n, n))
-        recv = np.swapaxes(adj, 1, 2)
-        term = (np.einsum("sij,sj->si", recv.astype(float), X + xi)
-                + (recv * zeta).sum(axis=2) - recv.sum(axis=2) * X)
-        X = X + a_all[l] * term
-        meanV[l + 1] = float(_disagreement_vec(X.T).mean())
-    return ManetBatch(X, X.max(axis=1) - X.min(axis=1), X.mean(axis=1), meanV, runs)
+    X = np.tile(scene.initial_states, (runs, 1))
+
+    def blocks():
+        Y = X
+        for l, probs in enumerate(_reception_rows(scene, rounds)):
+            Y, _ = _round_update(scene, Y, a_all[l], stream.at(TAG_MANET_ROUND, 1, l), probs)
+            yield Y.T
+
+    return _summarize(np.arange(rounds + 1), X.T, blocks())
 
 
 def scenario_preset(figure: str) -> tuple[ManetScene, GainSchedule]:

@@ -29,18 +29,20 @@ def philox_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
-def substream(key: np.ndarray, *path: int) -> np.random.Generator:
-    """Fresh generator positioned at the counter block addressed by `path`.
-
-    Up to three path components are placed in the high counter words;
-    word 0 advances as the stream is consumed.
-    """
+def _counter(path: tuple[int, ...]) -> np.ndarray:
+    """Philox counter of `path`: up to three components in the high words,
+    first component highest; word 0 advances as the stream is consumed."""
     if len(path) > 3:
         raise ValueError("substream path supports at most 3 components")
     counter = np.zeros(4, dtype=np.uint64)
     for slot, part in zip((3, 2, 1), path):
         counter[slot] = np.uint64(int(part) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return counter
+
+
+def substream(key: np.ndarray, *path: int) -> np.random.Generator:
+    """Fresh generator positioned at the counter block addressed by `path`."""
+    return np.random.Generator(np.random.Philox(key=key, counter=_counter(path)))
 
 
 class StreamPool:
@@ -59,13 +61,8 @@ class StreamPool:
 
     def at(self, *path: int) -> np.random.Generator:
         """Position the shared generator at `path` and return it."""
-        if len(path) > 3:
-            raise ValueError("substream path supports at most 3 components")
         state = self._bitgen.state
-        counter = state["state"]["counter"]
-        counter[:] = 0
-        for slot, part in zip((3, 2, 1), path):
-            counter[slot] = np.uint64(int(part) & _MASK64)
+        state["state"]["counter"] = _counter(path)
         state["buffer_pos"] = 4  # discard buffered words from prior position
         state["has_uint32"] = 0  # and a buffered 32-bit half of one
         state["uinteger"] = 0

@@ -277,6 +277,22 @@ class PeriodicProcess(TopologyProcess):
         return self.components[(t - 1) % self.period]
 
 
+@functools.lru_cache(maxsize=4096)
+def _dealt_graph(n: int, pairs: tuple[tuple[int, int, float], ...], width: int, slot: int,
+                 a_max: float) -> WeightedDigraph:
+    """Slot `slot` of a `width`-slot window over which the undirected
+    (j, i, w) pairs are dealt round-robin: pairs[slot::width] in both
+    directions, or the empty graph if there are none.
+
+    Graphs are immutable, so every process shares one object per key and
+    its Laplacian is computed once.
+    """
+    picked = pairs[slot::width]
+    if not picked:
+        return empty_graph(n, a_max)
+    return from_edges(n, picked + tuple((i, j, w) for j, i, w in picked), a_max)
+
+
 class ExtensibleBlockProcess(TopologyProcess):
     """Connected unions exactly at milestone windows of a (delta, c) schedule.
 
@@ -296,27 +312,14 @@ class ExtensibleBlockProcess(TopologyProcess):
         self.base = base
         self.schedule = schedule_times(delta, c, horizon)
         self._times = _times_and_next(self.schedule)
-        self._pairs = [(j, i, w) for j, i, w in base.edges() if j < i]
-        self._cache: dict[tuple[int, int], WeightedDigraph] = {}
+        self._pairs = tuple((j, i, w) for j, i, w in base.edges() if j < i)
 
     def graph_at(self, t: int) -> WeightedDigraph:
         k = int(np.searchsorted(self._times, t, side="right")) - 1
         if k < 0 or t > self._times[-1]:
             raise ValueError(f"time {t} outside the generated schedule")
         start, end = int(self._times[k]), int(self._times[k + 1])
-        width = end - start
-        slot = t - start
-        key = (width, slot)
-        g = self._cache.get(key)
-        if g is None:
-            picked = [p for idx, p in enumerate(self._pairs) if idx % width == slot]
-            if picked:
-                sym = picked + [(i, j, w) for j, i, w in picked]
-                g = from_edges(self.n, sym, self.base.a_max)
-            else:
-                g = empty_graph(self.n, self.base.a_max)
-            self._cache[key] = g
-        return g
+        return _dealt_graph(self.n, self._pairs, end - start, t - start, self.base.a_max)
 
 
 class AdversarialProcess(TopologyProcess):
@@ -354,20 +357,6 @@ class AdversarialProcess(TopologyProcess):
         return self._complete if t == self.g1_times[k] else self._pair
 
 
-@functools.lru_cache(maxsize=4096)
-def _slot_graph(perm: tuple[int, ...], K: int, slot: int) -> WeightedDigraph:
-    """Slot `slot` of a connected block: the edges of the permutation cycle
-    whose index is slot mod K, in both directions (empty if there are none).
-
-    Graphs are immutable, so every process shares one object per key and
-    its Laplacian is computed once.
-    """
-    n = len(perm)
-    picked = [(perm[k], perm[(k + 1) % n]) for k in range(slot, n, K)]
-    sym = [(u, v, 1.0) for u, v in picked] + [(v, u, 1.0) for u, v in picked]
-    return from_edges(n, sym, 1.0) if sym else empty_graph(n)
-
-
 class RandomBlockProcess(TopologyProcess):
     """Random topologies whose connectivity probability decays like a power.
 
@@ -394,7 +383,6 @@ class RandomBlockProcess(TopologyProcess):
         self.p = p
         self.seed = seed
         self._key = philox_key(seed)
-        self._empty = empty_graph(n)
         self._cache: dict[int, list[WeightedDigraph]] = {}
 
     def reseeded(self, seed: int) -> "RandomBlockProcess":
@@ -409,11 +397,11 @@ class RandomBlockProcess(TopologyProcess):
         if cached is not None:
             return cached
         gen = substream(self._key, TAG_TOPOLOGY_BLOCK, block)
+        cycle = ()
         if gen.random() < self.connection_probability(block):
-            perm = tuple(int(v) for v in gen.permutation(self.n))
-            graphs = [_slot_graph(perm, self.K, slot) for slot in range(self.K)]
-        else:
-            graphs = [self._empty] * self.K
+            perm = [int(v) for v in gen.permutation(self.n)]
+            cycle = tuple((u, perm[(k + 1) % self.n], 1.0) for k, u in enumerate(perm))
+        graphs = [_dealt_graph(self.n, cycle, self.K, slot, 1.0) for slot in range(self.K)]
         self._cache[block] = graphs
         return graphs
 

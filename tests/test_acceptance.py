@@ -237,11 +237,12 @@ def test_c7_manet_scenarios():
     fig2_detail = ""
     for fig in ("fig2", "fig3", "fig4"):
         scene, gains = M.scenario_preset(fig)
-        batch = M.run_manet_batch(scene, gains, rounds, runs, seed=20240707)
-        medians[fig] = float(np.median(batch.final_range))
+        finals = M.run_manet_batch(scene, gains, rounds, runs, seed=20240707).final_states
+        final_range = np.ptp(finals, axis=1)
+        medians[fig] = float(np.median(final_range))
         if fig == "fig2":
-            frac = float((batch.final_range < 0.05).mean())
-            mean_final = float(batch.final_mean.mean())
+            frac = float((final_range < 0.05).mean())
+            mean_final = float(finals.mean(axis=1).mean())
             fig2_ok = frac >= 0.9 and 0.45 <= mean_final <= 0.55
             fig2_detail = f"range<0.05 in {frac:.0%}, mean final {mean_final:.4f}"
     order_ok = medians["fig4"] > medians["fig3"] > medians["fig2"]

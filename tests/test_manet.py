@@ -9,7 +9,7 @@ from consensuslab import dynamics as D
 from consensuslab import graph as G
 from consensuslab import manet as M
 from consensuslab import topology as T
-from consensuslab.rng import StreamPool, TAG_MISC, philox_key, substream
+from consensuslab.rng import StreamPool, TAG_MANET_ROUND, TAG_MISC, philox_key, substream
 
 
 class TestFspl:
@@ -169,7 +169,39 @@ class TestSimulateRound:
             assert set(np.unique(g.weights)) <= {0.0, 1.0}
 
 
+def _reference_round(scene, l, x, a_l, stream, probs):
+    """One round of a single run as an (n, n) matrix product: the reference
+    for the batched round kernel.  Returns the new states and recv."""
+    n = scene.n
+    gen = stream.at(TAG_MANET_ROUND, 0, l)
+    succ = gen.random((n, n)) < probs          # succ[i, j]: j receives i
+    adj = succ & succ.T
+    np.fill_diagonal(adj, False)
+    xi = gen.uniform(-scene.xi_half_width, scene.xi_half_width, n)
+    zeta = gen.normal(0.0, scene.zeta_std, (n, n))
+    recv = adj.T  # recv[i, j]: i hears j
+    term = recv @ (x + xi) + (recv * zeta).sum(axis=1) - recv.sum(axis=1) * x
+    return x + a_l * term, recv
+
+
 class TestRunManet:
+    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4"])
+    def test_matches_single_run_reference(self, fig):
+        # same graphs every round; states agree up to the rounding of the
+        # matrix product against the batched einsum
+        scene, gains = M.scenario_preset(fig)
+        rounds, seed = 2000, 20240707
+        trace = M.run_manet(scene, gains, rounds, seed)
+        stream = StreamPool(seed)
+        a_all = gains.values(np.arange(1, rounds + 1))
+        x = scene.initial_states
+        for l, probs in enumerate(M._reception_rows(scene, rounds)):
+            _, g = M.simulate_round(scene, l, x, a_all[l], stream, probs)
+            x, recv = _reference_round(scene, l, x, a_all[l], stream, probs)
+            np.testing.assert_array_equal(g.weights, recv.astype(float))
+            np.testing.assert_allclose(trace.states[l + 1], x, rtol=0, atol=1e-13)
+
+
     def test_same_seed_identical(self):
         scene, gains = M.scenario_preset("fig2")
         a = M.run_manet(scene, gains, 200, seed=5)
@@ -219,6 +251,35 @@ class TestRunManet:
         se = np.sqrt(mc.stderr_V**2 + (batch.mean_V * 0.0 + mc.stderr_V.max()) ** 2)
         dev = np.abs(batch.mean_V - mc.mean_V) / np.maximum(se, 1e-300)
         assert dev.max() <= 4.0, dev.max()
+
+
+class TestRunManetBatch:
+    def test_stderr_finite_nonnegative_zero_at_start(self):
+        scene, gains = M.scenario_preset("fig3")
+        res = M.run_manet_batch(scene, gains, 150, 12, seed=4)
+        assert res.stderr_V.shape == res.mean_V.shape == (151,)
+        np.testing.assert_array_equal(res.ts, np.arange(151))
+        assert np.all(np.isfinite(res.stderr_V)) and np.all(res.stderr_V >= 0)
+        assert res.stderr_V[0] == 0.0 and res.stderr_V[-1] > 0
+        assert res.final_states.shape == (12, scene.n) and res.replicas == 12
+
+    def test_fewer_than_two_runs_rejected(self):
+        scene, gains = M.scenario_preset("fig2")
+        for runs in (0, 1):
+            with pytest.raises(ValueError, match="2 runs"):
+                M.run_manet_batch(scene, gains, 10, runs, seed=0)
+
+
+class TestManetScene:
+    def test_alpha_length_must_be_one_or_n(self):
+        scene = _static_scene(5, 1.0)
+        for alpha in (np.full(3, 4.0), np.full(6, 4.0)):
+            with pytest.raises(ValueError, match="alpha"):
+                M.ManetScene(scene.positions0, scene.headings,
+                             M.RadioParams(alpha=alpha, beta=10.0), scene.initial_states)
+        for alpha in (4.0, np.full(5, 4.0)):
+            M.ManetScene(scene.positions0, scene.headings,
+                         M.RadioParams(alpha=alpha, beta=10.0), scene.initial_states)
 
 
 class TestScenarioPresets:

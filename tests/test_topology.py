@@ -100,6 +100,32 @@ class TestVerifyJointConnectivity:
             assert holds
 
 
+class TestExtensibleBlockProcess:
+    def test_window_slots_deal_pairs_round_robin(self):
+        # slot s of a width-w window holds base pairs s, s + w, ... (sorted
+        # sender < receiver), in both directions; every window unions to the base
+        base = G.cycle_graph(5)
+        pairs = [(j, i, w) for j, i, w in base.edges() if j < i]
+        proc = T.ExtensibleBlockProcess(base, 0.5, 2.0, 200)
+        times = list(proc.schedule.times) + [201]
+        for start, end in zip(times, times[1:]):
+            width = end - start
+            for slot in range(width):
+                picked = pairs[slot::width]
+                direct = G.from_edges(5, picked + [(i, j, w) for j, i, w in picked], base.a_max)
+                np.testing.assert_array_equal(proc.graph_at(start + slot).weights, direct.weights)
+            if end <= 200:
+                window = G.union([proc.graph_at(t) for t in range(start, end)])
+                np.testing.assert_array_equal(window, base.weights)
+
+    def test_instances_on_one_base_share_slot_graphs(self):
+        base = G.cycle_graph(5)
+        p1 = T.ExtensibleBlockProcess(base, 0.5, 2.0, 300)
+        p2 = T.ExtensibleBlockProcess(G.cycle_graph(5), 0.5, 2.0, 300)
+        for t in range(1, 301):
+            assert p1.graph_at(t) is p2.graph_at(t)
+
+
 class TestMinimalDelta:
     def test_period3(self):
         trace = T.PeriodicProcess(T.cycle_edge_components(3)).trace(60)
@@ -232,6 +258,17 @@ class TestRandomBlockProcess:
                     assert seen.setdefault((perm, slot), g) is g
                     keys[-1].add((perm, slot))
         assert keys[0] & keys[1]
+
+    def test_empty_blocks_shared_across_replicas(self):
+        # a disconnected block emits one shared empty graph per (n, K, slot)
+        first = T.RandomBlockProcess(2, 0.45, 0.3, 4, seed=1)
+        empties = {}
+        for proc in (first, first.reseeded(2), first.reseeded(3)):
+            for t in range(1, 200):
+                g = proc.graph_at(t)
+                if not g.num_edges:
+                    assert empties.setdefault((t - 1) % 2, g) is g
+        assert len(empties) == 2
 
     def test_block_frequency_matches_probability(self):
         # empirical connection frequency within the binomial 99% interval
