@@ -367,35 +367,35 @@ def monte_carlo_V(process: TopologyProcess, gains: GainSchedule, noise: NoiseMod
                   seed: int) -> MonteCarloResult:
     """Replica mean and standard error of V(x(t)).
 
-    Deterministic processes share their topology across replicas and are
-    advanced as one (n, replicas) block; random processes fall back to a
-    per-replica loop with independently derived process seeds and noise
-    streams.
+    Deterministic processes share their topology and one noise sampler
+    across replicas and are advanced as one (n, replicas) block.  Random
+    processes give replica r its own process seed and noise stream, both
+    derived from (seed, r); each replica is advanced on its own and the
+    replica states of every step are stacked into one (n, replicas) block.
+    Both paths reduce their blocks with the same recorder.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     x1 = np.asarray(x1, dtype=float)
     n = x1.size
+    if process.n != n:
+        raise ValueError("process and initial state disagree on n")
     ts = np.arange(1, horizon + 2)
+    a_all = gains.values(ts)
+    X = np.tile(x1[:, None], (1, replicas))
     if process.deterministic:
         sampler = EdgeNoiseSampler(noise, n, seed)
-        X = np.tile(x1[:, None], (1, replicas))
-        blocks = _advance(process, gains.values(ts), X, horizon,
+        blocks = _advance(process, a_all, X, horizon,
                           lambda g, t: sampler.aggregate_batch(g, t, replicas))
         return _summarize(ts, X, blocks)
-
-    V_all = np.empty((replicas, horizon + 1))
-    finals = np.empty((replicas, n))
+    walks = []
     for r in range(replicas):
         sub = np.random.SeedSequence(entropy=seed, spawn_key=(TAG_REPLICA, r))
         proc_seed, noise_seed = (int(s) for s in sub.generate_state(2, np.uint64))
-        proc_r = process.reseeded(proc_seed)
-        trace = run(proc_r, gains, noise, x1, horizon, noise_seed)
-        V_all[r] = trace.disagreement
-        finals[r] = trace.states[-1]
-    meanV = V_all.mean(axis=0)
-    seV = V_all.std(axis=0, ddof=1) / math.sqrt(replicas)
-    return MonteCarloResult(ts, meanV, seV, finals, replicas)
+        sampler = EdgeNoiseSampler(noise, n, noise_seed)
+        walks.append(_advance(process.reseeded(proc_seed), a_all, x1, horizon,
+                              sampler.aggregate))
+    return _summarize(ts, X, (np.stack(xs, axis=1) for xs in zip(*walks)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +416,8 @@ def exact_second_moment(process: TopologyProcess, gains: GainSchedule,
         raise ValueError("exact second moments need a deterministic topology process")
     x1 = np.asarray(x1, dtype=float)
     n = x1.size
+    if process.n != n:
+        raise ValueError("process and initial state disagree on n")
     if isinstance(noise_cov, NoiseModel):
         if not noise_cov.independent_across_time:
             raise ValueError("exact recursion requires noise independent across time")
@@ -444,6 +446,25 @@ def exact_second_moment(process: TopologyProcess, gains: GainSchedule,
     return ts, EV
 
 
+_SCAN_CHUNK = 1 << 14  # steps per affine scan in adversarial_exact_moments
+
+
+def _affine_scan(s: np.ndarray, b: np.ndarray, y0) -> np.ndarray:
+    """Every y_t of y_t = s_t y_(t-1) + b_t, t = 0, 1, ..., along the last
+    axis, starting from y_(-1) = y0.
+
+    Prefix doubling composes the affine maps in log2(len) passes; it never
+    divides, so a product that underflows only zeroes dead terms.
+    """
+    S, B = s.copy(), b.copy()
+    d = 1
+    while d < S.shape[-1]:
+        B[..., d:] += S[..., d:] * B[..., :-d]
+        S[..., d:] *= S[..., :-d]
+        d *= 2
+    return S * np.asarray(y0)[..., None] + B
+
+
 def adversarial_exact_moments(process: AdversarialProcess, gains: GainSchedule,
                               v: float, x1: Sequence[float], horizon: int,
                               record_ts: Sequence[int] | None = None
@@ -452,12 +473,13 @@ def adversarial_exact_moments(process: AdversarialProcess, gains: GainSchedule,
 
     Both emitted Laplacians share the orthonormal eigenbasis of the
     complete/pair graphs, so the centered second moment stays diagonal in
-    that basis and each mode follows a scalar recursion: multiplier
-    (1 - 2a) on pair steps, (1 - n a) on the complete slot, plus injected
-    variance a^2 q per step.  Windows are closed with division-free
-    suffix products, which keeps horizons of 10^7 steps cheap and avoids
-    underflow on long windows.  Requires i.i.d. noise with per-edge
-    variance v; matches `exact_second_moment` to machine precision.
+    that basis and each mode k follows y_k <- s y_k + a^2 q_k.  Mode 1 has
+    s = (1 - 2a)^2 on pair steps; every mode >= 2 has s = 1 there; all
+    modes have s = (1 - n a)^2 on the complete slot.  So E V is the sum of
+    two scalar recursions, mode 1 and the sum of the modes >= 2, solved in
+    chunks of `_SCAN_CHUNK` steps by `_affine_scan`.  Requires i.i.d.
+    noise with per-edge variance v; matches `exact_second_moment` to
+    machine precision.
 
     record_ts restricts the output to the given (sorted) times in
     [1, horizon + 1]; by default every time is recorded.
@@ -468,6 +490,8 @@ def adversarial_exact_moments(process: AdversarialProcess, gains: GainSchedule,
     x1 = np.asarray(x1, dtype=float)
     if x1.size != n:
         raise ValueError("x1 has wrong length")
+    if horizon > process.horizon:
+        raise ValueError("horizon exceeds the process horizon")
     if record_ts is None:
         record_ts = np.arange(1, horizon + 2)
     rec = np.asarray(record_ts, dtype=np.int64)
@@ -475,69 +499,28 @@ def adversarial_exact_moments(process: AdversarialProcess, gains: GainSchedule,
         raise ValueError("record_ts must be sorted within [1, horizon + 1]")
     P, _ = complete_pair_eigenbasis(n)
     J = np.eye(n) - np.ones((n, n)) / n
-    C_pair = aggregate_noise_covariance(pair_graph(n), NoiseModel("iid_gaussian", v))
-    C_comp = aggregate_noise_covariance(complete_graph(n), NoiseModel("iid_gaussian", v))
-    q_pair = np.diag(P.T @ J @ C_pair @ J @ P).copy()
-    q_comp = np.diag(P.T @ J @ C_comp @ J @ P).copy()
-    y = P.T @ (J @ x1)
-    m = y * y  # per-mode second moments; mode 0 (the average) stays 0
-    m[0] = 0.0
+    q = [np.diag(P.T @ J @ aggregate_noise_covariance(g, NoiseModel("iid_gaussian", v)) @ J @ P)
+         for g in (pair_graph(n), complete_graph(n))]
+    q_pair, q_comp = (np.array([[qk[1]], [qk[2:].sum()]]) for qk in q)
+    m = (P.T @ (J @ x1)) ** 2  # per-mode second moments; mode 0, the average, is 0
+    y = np.array([m[1], m[2:].sum()])
     EV = np.empty(rec.size)
-    ptr = 0
-    while ptr < rec.size and rec[ptr] == 1:
-        EV[ptr] = m.sum()
-        ptr += 1
-
-    def _mode2_prefix(m2_0: float, sq: np.ndarray, b: np.ndarray) -> float:
-        # value after the last step of the slice, without dividing by
-        # prefix products (suffix underflow just zeroes dead contributions)
-        suff = np.empty(sq.size + 1)
-        suff[-1] = 1.0
-        suff[:-1] = np.cumprod(sq[::-1])[::-1]
-        return m2_0 * suff[0] + float(np.dot(b, suff[1:]))
-
-    times = process.times
+    ptr = int(np.searchsorted(rec, 1, side="right"))
+    EV[:ptr] = m[1:].sum()
     g1 = process.g1_times
-    for k in range(len(times) - 1):
-        s, e = int(times[k]), int(times[k + 1])
-        if s > horizon or ptr >= rec.size:
+    for lo in range(1, horizon + 1, _SCAN_CHUNK):
+        if ptr == rec.size:
             break
-        steps = min(e - 1, horizon) - s + 1  # executed steps in this window
-        if steps <= 0:
-            break
-        ts_win = np.arange(s, s + steps)
-        a = gains.values(ts_win)
-        gpos = int(g1[k]) - s
-        has_g = 0 <= gpos < steps
-        lam = 1.0 - 2.0 * a
-        q2 = np.full(steps, q_pair[1])
-        if has_g:
-            lam[gpos] = 1.0 - n * a[gpos]
-            q2[gpos] = q_comp[1]
-        sq = lam * lam
-        b2 = a * a * q2
-        inj_cum = np.cumsum(a * a)
-
-        def _hi_at(j: int) -> np.ndarray:
-            # modes >= 3 after step index j (0-based within the window)
-            if n <= 2:
-                return np.zeros(0)
-            if not has_g or j < gpos:
-                return m[2:] + q_pair[2:] * inj_cum[j]
-            ag = a[gpos]
-            before = inj_cum[gpos] - ag * ag
-            out = (m[2:] + q_pair[2:] * before) * (1.0 - n * ag) ** 2 + ag * ag * q_comp[2:]
-            return out + q_pair[2:] * (inj_cum[j] - inj_cum[gpos])
-
-        while ptr < rec.size and rec[ptr] <= s + steps:
-            j = int(rec[ptr]) - s - 1  # state at rec = after step rec-1
-            m2_j = _mode2_prefix(m[1], sq[: j + 1], b2[: j + 1])
-            EV[ptr] = m2_j + _hi_at(j).sum()
-            ptr += 1
-        m2_end = _mode2_prefix(m[1], sq, b2)
-        if n > 2:
-            m[2:] = _hi_at(steps - 1)
-        m[1] = m2_end
+        hi = min(lo + _SCAN_CHUNK, horizon + 1)  # steps lo..hi-1 give times lo+1..hi
+        a = gains.values(np.arange(lo, hi))
+        complete = np.zeros(a.size, dtype=bool)
+        complete[g1[np.searchsorted(g1, lo):np.searchsorted(g1, hi)] - lo] = True
+        s = np.where(complete, (1.0 - n * a) ** 2, [(1.0 - 2.0 * a) ** 2, np.ones_like(a)])
+        ys = _affine_scan(s, a * a * np.where(complete, q_comp, q_pair), y)
+        y = ys[:, -1]
+        end = int(np.searchsorted(rec, hi, side="right"))
+        EV[ptr:end] = ys[:, rec[ptr:end] - lo - 1].sum(axis=0)
+        ptr = end
     return rec, EV
 
 

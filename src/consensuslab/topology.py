@@ -29,6 +29,7 @@ from .graph import (
 from .rng import TAG_TOPOLOGY_BLOCK, philox_key, substream
 
 _BOUND_SLACK = 1e-9
+_ARGMIN_CHUNK = 1 << 20  # steps per gain evaluation in AdversarialProcess
 
 
 @dataclass(frozen=True)
@@ -341,13 +342,18 @@ class AdversarialProcess(TopologyProcess):
         self.times = _times_and_next(schedule_times(delta, c, horizon))
         self._complete = complete_graph(n)
         self._pair = pair_graph(n)
-        starts = self.times[:-1]
-        ends = self.times[1:]
-        g1 = np.empty(len(starts), dtype=np.int64)
-        for k, (s, e) in enumerate(zip(starts, ends)):
-            ts = np.arange(s, e)
+        starts, ends = self.times[:-1], self.times[1:]
+        g1 = np.empty(starts.size, dtype=np.int64)
+        k = 0
+        while k < starts.size:  # windows k..j-1, about _ARGMIN_CHUNK steps at a time
+            j = max(k + 1, int(np.searchsorted(ends, starts[k] + _ARGMIN_CHUNK, side="right")))
+            ts = np.arange(starts[k], ends[j - 1])
             vals = gains.values(ts)
-            g1[k] = int(ts[int(np.argmin(vals))])
+            offs = starts[k:j] - starts[k]
+            lows = np.repeat(np.minimum.reduceat(vals, offs), ends[k:j] - starts[k:j])
+            hits = np.flatnonzero(vals == lows)
+            g1[k:j] = ts[hits[np.searchsorted(hits, offs)]]  # earliest minimum per window
+            k = j
         self.g1_times = g1
 
     def graph_at(self, t: int) -> WeightedDigraph:
@@ -383,7 +389,7 @@ class RandomBlockProcess(TopologyProcess):
         self.p = p
         self.seed = seed
         self._key = philox_key(seed)
-        self._cache: dict[int, list[WeightedDigraph]] = {}
+        self._current: tuple[int, list[WeightedDigraph]] = (-1, [])
 
     def reseeded(self, seed: int) -> "RandomBlockProcess":
         return RandomBlockProcess(self.K, self.mu, self.p, self.n, seed)
@@ -393,16 +399,18 @@ class RandomBlockProcess(TopologyProcess):
         return min(1.0, self.p * s ** (-self.mu) * max(math.log(s), 0.0))
 
     def _block_graphs(self, block: int) -> list[WeightedDigraph]:
-        cached = self._cache.get(block)
-        if cached is not None:
-            return cached
+        """Slot graphs of `block`; only the latest block is kept, since
+        graph_at is called in time order and the graphs themselves are
+        shared through `_dealt_graph`."""
+        if self._current[0] == block:
+            return self._current[1]
         gen = substream(self._key, TAG_TOPOLOGY_BLOCK, block)
         cycle = ()
         if gen.random() < self.connection_probability(block):
             perm = [int(v) for v in gen.permutation(self.n)]
             cycle = tuple((u, perm[(k + 1) % self.n], 1.0) for k, u in enumerate(perm))
         graphs = [_dealt_graph(self.n, cycle, self.K, slot, 1.0) for slot in range(self.K)]
-        self._cache[block] = graphs
+        self._current = (block, graphs)
         return graphs
 
     def graph_at(self, t: int) -> WeightedDigraph:

@@ -7,6 +7,7 @@ import consensuslab as cl
 from consensuslab import dynamics as D
 from consensuslab import graph as G
 from consensuslab import topology as T
+from consensuslab.rng import TAG_REPLICA
 
 
 def transition_product(process, gains, i: int, t: int) -> np.ndarray:
@@ -266,6 +267,13 @@ class TestExactSecondMoment:
         with pytest.raises(ValueError):
             D.exact_second_moment(proc, gains, D.make_noise("iid_gaussian", v=1.0), [0, 0, 1], 5)
 
+    def test_wrong_length_x1_rejected(self):
+        proc = T.FixedProcess(G.cycle_graph(4))
+        gains = cl.GainSchedule("constant", alpha=0.1)
+        with pytest.raises(ValueError, match="disagree on n"):
+            D.exact_second_moment(proc, gains, D.make_noise("iid_gaussian", v=1.0),
+                                  [0.0, 0.5, 1.0], 5)
+
     def test_dependent_noise_rejected(self):
         proc = T.FixedProcess(G.pair_graph(2))
         gains = cl.GainSchedule("constant", alpha=0.1)
@@ -293,8 +301,108 @@ class TestAdversarialExactMoments:
         ts_g, EV_g = D.adversarial_exact_moments(proc, gains, 0.02, x1, 500, record_ts=grid)
         np.testing.assert_allclose(EV_g, EV_all[grid - 1], rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_dense_recursion_across_chunks(self, monkeypatch, n):
+        monkeypatch.setattr(D, "_SCAN_CHUNK", 64)
+        gains = cl.GainSchedule("power", alpha=0.5, t_star=2.0 * n, exponent=0.7)
+        proc = T.AdversarialProcess(gains, 0.5, 1, n, 300)
+        x1 = np.linspace(0, 1, n) ** 2
+        nm = D.make_noise("iid_gaussian", v=0.03)
+        _, EV_d = D.exact_second_moment(proc, gains, nm, x1, 300)
+        _, EV_f = D.adversarial_exact_moments(proc, gains, 0.03, x1, 300)
+        np.testing.assert_allclose(EV_f, EV_d, rtol=1e-12)
+
+    def test_constant_gains_record_across_seams(self, monkeypatch):
+        monkeypatch.setattr(D, "_SCAN_CHUNK", 64)
+        gains = cl.GainSchedule("constant", alpha=0.05)
+        proc = T.AdversarialProcess(gains, 0.3, 2, 5, 400)
+        x1 = np.array([3.0, -1.0, 0.5, 0.0, 2.0])
+        grid = np.array([1, 2, 63, 64, 65, 66, 128, 129, 130, 257, 400, 401])
+        _, EV_d = D.exact_second_moment(proc, gains, D.make_noise("iid_uniform", v=0.02), x1, 400)
+        ts, EV_f = D.adversarial_exact_moments(proc, gains, 0.02, x1, 400, record_ts=grid)
+        np.testing.assert_array_equal(ts, grid)
+        np.testing.assert_allclose(EV_f, EV_d[grid - 1], rtol=1e-12)
+
+    def test_matches_dense_recursion_past_two_chunks(self):
+        horizon = 2 * D._SCAN_CHUNK + 123
+        gains = D.design_gain_schedule(4, 1, 1.0, 0.3)
+        proc = T.AdversarialProcess(gains, 0.3, 1, 4, horizon)
+        x1 = np.linspace(0, 1, 4)
+        grid = np.unique(np.geomspace(1, horizon + 1, 60).astype(int))
+        _, EV_d = D.exact_second_moment(proc, gains, D.make_noise("iid_gaussian", v=0.01),
+                                        x1, horizon)
+        _, EV_f = D.adversarial_exact_moments(proc, gains, 0.01, x1, horizon, record_ts=grid)
+        np.testing.assert_allclose(EV_f, EV_d[grid - 1], rtol=1e-12)
+
+    def test_horizon_past_process_rejected(self):
+        gains = cl.GainSchedule("constant", alpha=0.1)
+        proc = T.AdversarialProcess(gains, 0.5, 1, 3, 50)
+        with pytest.raises(ValueError, match="process horizon"):
+            D.adversarial_exact_moments(proc, gains, 0.01, [0.0, 0.5, 1.0], 51)
+
+
+class TestAffineScan:
+    @staticmethod
+    def _loop(s, b, y0):
+        y, out = y0, np.empty_like(s)
+        for t in range(s.size):
+            y = s[t] * y + b[t]
+            out[t] = y
+        return out
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 1024, 1025])
+    def test_matches_python_loop(self, length):
+        rng = np.random.default_rng(length)
+        s = rng.uniform(0.0, 1.5, length)
+        s[::5] = 1.0
+        s[3::11] = 0.0
+        b = rng.uniform(0.0, 1.0, length)
+        np.testing.assert_allclose(D._affine_scan(s, b, 2.5), self._loop(s, b, 2.5), rtol=1e-12)
+
+    def test_rows_scan_independently(self):
+        rng = np.random.default_rng(0)
+        s, b = rng.uniform(0.0, 1.5, (2, 100)), rng.uniform(0.0, 1.0, (2, 100))
+        out = D._affine_scan(s, b, np.array([1.0, 0.0]))
+        np.testing.assert_allclose(out[0], self._loop(s[0], b[0], 1.0), rtol=1e-12)
+        np.testing.assert_allclose(out[1], self._loop(s[1], b[1], 0.0), rtol=1e-12)
+
+
+def _per_replica_reference(process, gains, noise, x1, horizon, replicas, seed):
+    """One `run` per replica on its derived process and noise seeds."""
+    V, finals = [], []
+    for r in range(replicas):
+        sub = np.random.SeedSequence(entropy=seed, spawn_key=(TAG_REPLICA, r))
+        proc_seed, noise_seed = (int(s) for s in sub.generate_state(2, np.uint64))
+        trace = D.run(process.reseeded(proc_seed), gains, noise, x1, horizon, noise_seed)
+        V.append(trace.disagreement)
+        finals.append(trace.states[-1])
+    V = np.array(V)
+    return V.mean(axis=0), V.std(axis=0, ddof=1) / math.sqrt(replicas), np.array(finals)
+
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("kind", ["iid_gaussian", "iid_uniform", "m_dependent_ma"])
+    def test_random_process_matches_per_replica_runs(self, kind):
+        proc = T.RandomBlockProcess(3, 0.3, 1.0, 5, seed=0)
+        gains = cl.GainSchedule("power", alpha=8.0, t_star=64.0, exponent=0.7)
+        nm = D.make_noise(kind, v=0.01, m=2)
+        x1 = np.linspace(0, 1, 5)
+        mc = D.monte_carlo_V(proc, gains, nm, x1, 300, 12, seed=20240909)
+        mean, se, finals = _per_replica_reference(proc, gains, nm, x1, 300, 12, 20240909)
+        np.testing.assert_array_equal(mc.final_states, finals)
+        np.testing.assert_allclose(mc.mean_V, mean, rtol=1e-12)
+        np.testing.assert_allclose(mc.stderr_V[1:], se[1:], rtol=1e-12)
+        assert mc.stderr_V[0] == se[0] == 0.0
+
+    @pytest.mark.parametrize("random", [False, True])
+    def test_wrong_length_x1_rejected(self, random):
+        gains = cl.GainSchedule("constant", alpha=0.1)
+        proc = (T.RandomBlockProcess(2, 0.3, 1.0, 4, seed=0) if random
+                else T.FixedProcess(G.cycle_graph(4)))
+        with pytest.raises(ValueError, match="disagree on n"):
+            D.monte_carlo_V(proc, gains, D.make_noise("iid_gaussian", v=0.01),
+                            [0.0, 0.5, 1.0], 5, 4, seed=0)
+
     def test_zero_noise_degenerate(self):
         proc = T.FixedProcess(G.cycle_graph(4))
         gains = cl.GainSchedule("constant", alpha=0.2)

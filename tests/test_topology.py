@@ -200,8 +200,30 @@ class TestAdversarialProcess:
             kinds = [proc.graph_at(t).num_edges for t in range(lo, hi)]
             assert kinds.count(G.complete_graph(4).num_edges) == 1
 
+    @pytest.mark.parametrize("chunk", [16, 1 << 20])
+    def test_segmented_argmin_matches_per_window_argmin(self, monkeypatch, chunk):
+        # gains from three levels, so most windows hold repeated minima
+        monkeypatch.setattr(T, "_ARGMIN_CHUNK", chunk)
+        rng = np.random.default_rng(7)
+        table = rng.choice([0.1, 0.2, 0.3], size=2000)
+        gains = cl.GainSchedule("table", table=table)
+        proc = T.AdversarialProcess(gains, 0.6, 1, 3, 1500)
+        times = proc.times
+        ref = [s + int(np.argmin(table[s - 1:e - 1])) for s, e in zip(times[:-1], times[1:])]
+        np.testing.assert_array_equal(proc.g1_times, ref)
+        assert np.any([np.sum(table[s - 1:e - 1] == table[s - 1:e - 1].min()) > 1
+                       for s, e in zip(times[:-1], times[1:]) if e - s > 1])
+        assert np.diff(times).max() > 16
+
 
 class TestRandomBlockProcess:
+    def test_earlier_block_after_later_block_same_graphs(self):
+        proc = T.RandomBlockProcess(3, 0.3, 5.0, 5, seed=4)
+        first = [proc.graph_at(t) for t in range(1, 31)]
+        proc.graph_at(3000)
+        again = [proc.graph_at(t) for t in range(1, 31)]
+        assert all(g is h for g, h in zip(first, again))
+
     def test_bit_reproducible(self):
         p1 = T.RandomBlockProcess(3, 0.3, 1.0, 5, seed=42)
         p2 = T.RandomBlockProcess(3, 0.3, 1.0, 5, seed=42)
