@@ -197,8 +197,11 @@ class EdgeNoiseSampler:
     """Deterministic noise access for one (seed, replica) pair.
 
     The full (n, n) matrix of ordered-pair noises at time t is addressed
-    by the counter path (tag, replica, t); batched variants append the
-    replica axis to the same draw so Monte Carlo columns stay independent.
+    by the counter path (TAG_EDGE_NOISE, replica, t); batched variants
+    append the replica axis to the same draw so Monte Carlo columns stay
+    independent.  The one exception is the batched i.i.d. Gaussian
+    aggregate, which draws the (n, replicas) aggregates themselves from
+    that path (see `aggregate_batch`).
     """
 
     def __init__(self, model: NoiseModel, n: int, seed_or_key, replica: int = 0):
@@ -257,16 +260,35 @@ class EdgeNoiseSampler:
         return (g.weights * W).sum(axis=1)
 
     def aggregate_batch(self, g: WeightedDigraph, t: int, replicas: int) -> np.ndarray:
-        """(n, replicas) aggregate noise; replicas ride the trailing axis."""
+        """(n, replicas) aggregate noise; replicas ride the trailing axis.
+
+        For i.i.d. Gaussian noise w_hat_i = sum_j a_ij w_ij is exactly
+        N(0, v sum_j a_ij^2), independent across receivers, so it is drawn
+        directly: (n, replicas) standard normals from the counter path
+        (TAG_EDGE_NOISE, replica, t), row i scaled by its standard
+        deviation.  That has the distribution of the per-edge sum but not
+        its bytes.  Every other kind sums the (n, n, replicas) edge draw.
+        """
         if self.model.kind == "zero":
             return np.zeros((self.n, replicas))
+        if self.model.kind == "iid_gaussian":
+            gen = self.pool.at(TAG_EDGE_NOISE, self.replica, t)
+            Z = gen.standard_normal((self.n, replicas))
+            Z *= np.sqrt(self.model.v * _received_weight_sq(g))[:, None]
+            return Z
         W = self.edge_matrix(t, (replicas,))
         return np.einsum("ij,ijr->ir", g.weights, W)
 
 
+def _received_weight_sq(g: WeightedDigraph) -> np.ndarray:
+    """sum_j a_ij^2 for each receiver i: Var(w_hat_i) / v for cross-edge
+    independent noise of per-edge variance v."""
+    return (g.weights**2).sum(axis=1)
+
+
 def aggregate_noise_covariance(g: WeightedDigraph, model: NoiseModel) -> np.ndarray:
     """Cov(w_hat(t)) = v diag(sum_j a_ij^2) for cross-edge independent noise."""
-    return model.v * np.diag((g.weights**2).sum(axis=1))
+    return model.v * np.diag(_received_weight_sq(g))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +325,15 @@ def _disagreement_vec(X: np.ndarray) -> np.ndarray:
     return np.einsum("ir,ir->r", C, C)
 
 
+def _require_finite(ts: np.ndarray, V: np.ndarray) -> None:
+    """Raise ValueError naming the first time whose V is not finite; row k
+    of V (one value or one per replica) belongs to ts[k]."""
+    bad = ~np.isfinite(V).reshape(ts.size, -1).all(axis=1)
+    if bad.any():
+        raise ValueError(f"V is not finite at t = {int(ts[np.argmax(bad)])}: "
+                         "the state diverged")
+
+
 def _trace(ts: np.ndarray, x1: np.ndarray, steps: Iterator[np.ndarray],
            gains_used: np.ndarray) -> SimulationTrace:
     """Record x1 and every state `steps` yields, one row per entry of ts."""
@@ -311,6 +342,7 @@ def _trace(ts: np.ndarray, x1: np.ndarray, steps: Iterator[np.ndarray],
     for k, x in enumerate(itertools.chain([x1], steps)):
         states[k] = x
         V[k] = float(_disagreement_vec(x[:, None])[0])
+    _require_finite(ts, V)
     return SimulationTrace(ts, states, V, gains_used, float(x1.mean()), float(x.mean()))
 
 
@@ -348,17 +380,28 @@ class MonteCarloResult:
     replicas: int
 
 
+_V_CHUNK = 64  # steps of per-replica V buffered per reduction in _summarize
+
+
 def _summarize(ts: np.ndarray, X: np.ndarray, blocks: Iterator[np.ndarray]) -> MonteCarloResult:
     """Mean and standard error of V over the replica columns of the (n, R)
-    block X and of every block `blocks` yields; the last block holds the
-    final states."""
+    block X and of every block `blocks` yields, one block per entry of ts;
+    the last block holds the final states.  V is reduced _V_CHUNK steps at
+    a time; each row reduction runs the same pairwise sum as a per-step one."""
     replicas = X.shape[1]
     meanV = np.empty(ts.size)
     seV = np.empty(ts.size)
-    for k, X in enumerate(itertools.chain([X], blocks)):
-        v = _disagreement_vec(X)
-        meanV[k] = v.mean()
-        seV[k] = v.std(ddof=1) / math.sqrt(replicas)
+    buf = np.empty((_V_CHUNK, replicas))
+    blocks = itertools.chain([X], blocks)
+    for lo in range(0, ts.size, _V_CHUNK):
+        hi = min(lo + _V_CHUNK, ts.size)
+        V = buf[:hi - lo]
+        for j, X in zip(range(hi - lo), blocks):
+            V[j] = _disagreement_vec(X)
+        _require_finite(ts[lo:hi], V)
+        meanV[lo:hi] = V.mean(axis=1)
+        seV[lo:hi] = V.std(axis=1, ddof=1)
+    seV /= math.sqrt(replicas)
     return MonteCarloResult(ts, meanV, seV, X.T.copy(), replicas)
 
 

@@ -6,6 +6,31 @@ addressed by a root seed plus a short integer path (tag, replica, time,
 Philox sequence, so any draw can be reproduced in isolation regardless
 of execution order: Monte Carlo replicas, topology blocks, and rounds
 are independently re-derivable.
+
+The stream layout, by engine (R is the number of Monte Carlo replicas
+or MANET runs advanced together; `replica` is the sampler's index, 0
+unless set):
+
+- edge noise, `dynamics.EdgeNoiseSampler`: path (TAG_EDGE_NOISE,
+  replica, t).  An (n, n) draw per step for single runs and an
+  (n, n, R) draw for batches of uniform noise; an (n, R) draw of
+  standard normals, the aggregates themselves, for batches of i.i.d.
+  Gaussian noise.
+- innovations of moving-average and martingale-difference noise: path
+  (TAG_INNOVATION, replica, s), an (n, n) draw, or (n, n, R) in a
+  batch, per innovation time s.
+- random-block topologies, `topology.RandomBlockProcess`: path
+  (TAG_TOPOLOGY_BLOCK, block) under the process's own seed, one uniform
+  for connectivity, then a permutation of n when the block connects.
+- MANET rounds, `manet`: path (TAG_MANET_ROUND, 0, l) for a single run
+  and (TAG_MANET_ROUND, 1, l) for a batch of R runs; reception uniforms
+  (R, n, n), quantization noise (R, n), reception noise (R, n, n), in
+  that order.
+- random-block Monte Carlo gives replica r its own process and noise
+  seeds, derived by `SeedSequence(seed, spawn_key=(TAG_REPLICA, r))`.
+
+The same config and seed give the same bytes within one version; each
+change of this layout is named in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -160,6 +160,15 @@ class TestMain:
                                kind="rate_study", fit_window=[1, 2])
         assert cli.main(["run", cfg]) == 1
 
+    def test_diverging_state_exit_one(self, tmp_path, capsys):
+        cfg = _small_mc_config(tmp_path, tmp_path / "out", horizon=400, replicas=8,
+                               topology={"kind": "fixed", "graph": {"builder": "complete", "n": 3}},
+                               gains={"kind": "constant", "alpha": 10.0})
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", cfg]) == 1
+        assert "not finite at t = 107" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mean_V.csv").exists()
+
     def test_verify_exit_zero(self, capsys):
         assert cli.main(["verify", "--cases", "40", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -190,8 +199,10 @@ class TestSweep:
         assert len(rows) == 2
         direct = cli.run_experiment(json.loads(Path(cfg).read_text())
                                     | {"seed": 5, "out_dir": str(tmp_path / "direct")})
-        sweep_slope = float(rows[1].split(",")[1])
+        sweep_slope = report.summary["rows"][0][1]
         assert sweep_slope == pytest.approx(direct.summary["slope"], rel=1e-12)
+        # the CSV prints 12 significant digits, whose rounding alone can exceed 1e-12
+        assert rows[1].split(",")[1] == f"{direct.summary['slope']:.12g}"
 
     def test_sweep_over_missing_parameter_rejected(self, tmp_path):
         cfg = _small_mc_config(tmp_path, tmp_path / "s2")

@@ -168,6 +168,32 @@ class TestAggregateNoise:
         C = D.aggregate_noise_covariance(g, D.make_noise("iid_gaussian", v=1.0))
         np.testing.assert_allclose(C, np.diag([0.0, 4.0, 0.0]))
 
+    def test_gaussian_batch_matches_covariance(self):
+        # node 3 sends but receives nothing, so its aggregate is exactly 0
+        g = G.from_edges(4, [(0, 1, 2.0), (2, 1, 1.25), (1, 0, 1.0), (3, 0, 1.5),
+                             (1, 2, 1.75), (3, 2, 1.0)], a_max=2.0)
+        nm = D.make_noise("iid_gaussian", v=0.3)
+        R = 20000
+        W = D.EdgeNoiseSampler(nm, 4, 11).aggregate_batch(g, 5, R)
+        assert W.shape == (4, R)
+        assert np.all(W[3] == 0.0)
+        C = D.aggregate_noise_covariance(g, nm)
+        S = np.cov(W)
+        # Var of a Gaussian sample covariance entry: (C_ij^2 + C_ii C_jj) / R
+        se = np.sqrt((C**2 + np.outer(np.diag(C), np.diag(C))) / R)
+        live = se > 0
+        assert np.all(np.abs(S - C)[live] <= 4 * se[live])
+        np.testing.assert_array_equal(S[~live], 0.0)
+
+    @pytest.mark.parametrize("kind", ["iid_uniform", "m_dependent_ma", "martingale_difference"])
+    def test_non_gaussian_batch_sums_edge_draw(self, kind):
+        g = G.from_edges(4, [(0, 1, 2.0), (2, 1, 1.25), (1, 0, 1.0), (3, 2, 1.0)], a_max=2.0)
+        nm = D.make_noise(kind, v=0.02, m=2)
+        for t in (1, 2, 9):
+            got = D.EdgeNoiseSampler(nm, 4, 3).aggregate_batch(g, t, 6)
+            W = D.EdgeNoiseSampler(nm, 4, 3).edge_matrix(t, (6,))
+            np.testing.assert_array_equal(got, np.einsum("ij,ijr->ir", g.weights, W))
+
 
 class TestStep:
     def test_complete_graph_averaging(self):
@@ -455,6 +481,47 @@ class TestMonteCarlo:
         gains = cl.GainSchedule("constant", alpha=0.1)
         with pytest.raises(ValueError):
             D.monte_carlo_V(proc, gains, D.make_noise("zero"), [0, 1], 5, 1, seed=0)
+
+
+def _per_step_summary(ts, blocks):
+    """Test-only reference: mean and stderr of V reduced one step at a time."""
+    meanV, seV = np.empty(ts.size), np.empty(ts.size)
+    for k, X in enumerate(blocks):
+        v = D._disagreement_vec(X)
+        meanV[k] = v.mean()
+        seV[k] = v.std(ddof=1) / math.sqrt(X.shape[1])
+    return meanV, seV, X.T.copy()
+
+
+class TestSummarize:
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("replicas", [2, 7, 500])
+    def test_matches_per_step_reduction(self, steps, replicas):
+        rng = np.random.default_rng(steps * 100 + replicas)
+        blocks = rng.standard_normal((steps, 4, replicas)) * rng.uniform(0.1, 10.0, (steps, 1, 1))
+        ts = np.arange(1, steps + 1)
+        res = D._summarize(ts, blocks[0], iter(blocks[1:]))
+        meanV, seV, finals = _per_step_summary(ts, blocks)
+        np.testing.assert_array_equal(res.mean_V, meanV)
+        np.testing.assert_array_equal(res.stderr_V, seV)
+        np.testing.assert_array_equal(res.final_states, finals)
+        assert res.replicas == replicas
+
+
+class TestNonFiniteState:
+    # a = 10 on the complete graph of 3 nodes multiplies the disagreement
+    # by -29 per step, so V overflows first at t = 107
+    PROC = T.FixedProcess(G.complete_graph(3))
+    GAINS = cl.GainSchedule("constant", alpha=10.0)
+    NOISE = D.make_noise("iid_gaussian", v=0.01)
+
+    def test_monte_carlo_names_first_time(self):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite at t = 107:"):
+            D.monte_carlo_V(self.PROC, self.GAINS, self.NOISE, [0.0, 0.5, 1.0], 400, 8, seed=0)
+
+    def test_run_names_first_time(self):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite at t = 107:"):
+            D.run(self.PROC, self.GAINS, self.NOISE, [0.0, 0.5, 1.0], 400, seed=0)
 
 
 class TestCsvWriters:
