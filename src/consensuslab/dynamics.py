@@ -23,11 +23,18 @@ from .rng import (
     TAG_INNOVATION,
     TAG_REPLICA,
     StreamPool,
+    philox_key,
+    uniform_lanes,
 )
 from .topology import AdversarialProcess, TopologyProcess
 
 GAIN_KINDS = ("constant", "power", "log_corrected", "table")
 NOISE_KINDS = ("zero", "iid_gaussian", "iid_uniform", "m_dependent_ma", "martingale_difference")
+# Philox blocks per `uniform_lanes` call in one-key-per-replica sampling.
+# numpy pays a few us per ufunc call, so the kernel needs wide arrays; on
+# mc_random 4096 ran as fast as 8192 and kept peak memory at the per-replica
+# draws' level
+_LANE_BLOCKS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +209,32 @@ class EdgeNoiseSampler:
     independent.  The one exception is the batched i.i.d. Gaussian
     aggregate, which draws the (n, replicas) aggregates themselves from
     that path (see `aggregate_batch`).
+
+    One-key-per-replica mode: given a list of seeds, one per replica,
+    the sampler stands for that many single-run samplers advanced
+    together over steps 1..horizon.  `aggregate_batch` then takes the
+    replicas' stacked weight matrices and returns, in row r, the bytes
+    `aggregate` gives on a sampler seeded with seed r.  I.i.d. uniform
+    noise is evaluated for every replica at once by `rng.uniform_lanes`,
+    about _LANE_BLOCKS Philox blocks (a chunk of steps) per call; every
+    other kind draws per replica from that replica's own `StreamPool`.
     """
 
-    def __init__(self, model: NoiseModel, n: int, seed_or_key, replica: int = 0):
+    def __init__(self, model: NoiseModel, n: int, seed_or_key, replica: int = 0,
+                 horizon: int = 0):
         self.model = model
         self.n = n
         self.replica = replica
-        self.pool = StreamPool(seed_or_key)
         self._innov_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._lanes: list[EdgeNoiseSampler] = []
+        if not isinstance(seed_or_key, list):
+            self.pool = StreamPool(seed_or_key)
+        elif model.kind == "iid_uniform":
+            self._keys = np.array([philox_key(s) for s in seed_or_key])
+            self._horizon = horizon
+            self._chunk = (0, np.empty((0, len(seed_or_key), n, n)))  # first step, draws
+        elif model.kind != "zero":
+            self._lanes = [EdgeNoiseSampler(model, n, s, replica) for s in seed_or_key]
 
     # -- raw draws ---------------------------------------------------------
     def _iid_matrix(self, t: int, extra: tuple[int, ...]) -> np.ndarray:
@@ -259,7 +284,22 @@ class EdgeNoiseSampler:
         W = self.edge_matrix(t)
         return (g.weights * W).sum(axis=1)
 
-    def aggregate_batch(self, g: WeightedDigraph, t: int, replicas: int) -> np.ndarray:
+    def _lane_edges(self, t: int) -> np.ndarray:
+        """(replicas, n, n) edge draws of step t in one-key-per-replica mode."""
+        if self._lanes:
+            return np.stack([lane.edge_matrix(t) for lane in self._lanes])
+        t0, chunk = self._chunk
+        if not t0 <= t < t0 + len(chunk):
+            per_step = len(self._keys) * -(-self.n * self.n // 4)
+            steps = max(1, min(_LANE_BLOCKS // per_step, self._horizon - t + 1))
+            h = math.sqrt(3.0 * self.model.v)
+            paths = [(TAG_EDGE_NOISE, self.replica, s) for s in range(t, t + steps)]
+            chunk = uniform_lanes(self._keys, paths, self.n * self.n, -h, h)
+            t0, chunk = t, chunk.reshape(steps, len(self._keys), self.n, self.n)
+            self._chunk = (t0, chunk)
+        return chunk[t - t0]
+
+    def aggregate_batch(self, g, t: int, replicas: int) -> np.ndarray:
         """(n, replicas) aggregate noise; replicas ride the trailing axis.
 
         For i.i.d. Gaussian noise w_hat_i = sum_j a_ij w_ij is exactly
@@ -268,9 +308,16 @@ class EdgeNoiseSampler:
         (TAG_EDGE_NOISE, replica, t), row i scaled by its standard
         deviation.  That has the distribution of the per-edge sum but not
         its bytes.  Every other kind sums the (n, n, replicas) edge draw.
+
+        In one-key-per-replica mode `g` is the (replicas, n, n) stack of
+        the replicas' weight matrices and the result is (replicas, n), row
+        r summing replica r's own (n, n) edge draw as `aggregate` does.
         """
         if self.model.kind == "zero":
-            return np.zeros((self.n, replicas))
+            return np.zeros((self.n, replicas) if isinstance(g, WeightedDigraph)
+                            else (replicas, self.n))
+        if not isinstance(g, WeightedDigraph):
+            return (g * self._lane_edges(t)).sum(axis=-1)
         if self.model.kind == "iid_gaussian":
             gen = self.pool.at(TAG_EDGE_NOISE, self.replica, t)
             Z = gen.standard_normal((self.n, replicas))
@@ -282,8 +329,14 @@ class EdgeNoiseSampler:
 
 def _received_weight_sq(g: WeightedDigraph) -> np.ndarray:
     """sum_j a_ij^2 for each receiver i: Var(w_hat_i) / v for cross-edge
-    independent noise of per-edge variance v."""
-    return (g.weights**2).sum(axis=1)
+    independent noise of per-edge variance v.  Pinned to the immutable
+    graph like its Laplacian; read-only because it is shared."""
+    sq = g.__dict__.get("_received_sq")
+    if sq is None:
+        sq = (g.weights**2).sum(axis=1)
+        sq.flags.writeable = False
+        object.__setattr__(g, "_received_sq", sq)
+    return sq
 
 
 def aggregate_noise_covariance(g: WeightedDigraph, model: NoiseModel) -> np.ndarray:
@@ -295,11 +348,17 @@ def aggregate_noise_covariance(g: WeightedDigraph, model: NoiseModel) -> np.ndar
 # Protocol engine
 # ---------------------------------------------------------------------------
 
-def step(x: np.ndarray, g: WeightedDigraph, a: float, w_hat: np.ndarray) -> np.ndarray:
-    """(I - a L(g)) x + a w_hat."""
+def step(x: np.ndarray, g, a: float, w_hat: np.ndarray) -> np.ndarray:
+    """(I - a L(g)) x + a w_hat.  `g` is a graph, whose Laplacian acts on
+    x (n,) or on the columns of x (n, R); or an (R, n, n) stack of
+    Laplacians, L[r] acting on row r of x (R, n)."""
     if a < 0:
         raise ValueError("gain must be nonnegative")
-    return x - a * (_cached_laplacian(g) @ x) + a * w_hat
+    if isinstance(g, WeightedDigraph):
+        Lx = _cached_laplacian(g) @ x
+    else:
+        Lx = np.matmul(g, x[..., None])[..., 0]
+    return x - a * Lx + a * w_hat
 
 
 @dataclass
@@ -320,9 +379,10 @@ class SimulationTrace:
 
 
 def _disagreement_vec(X: np.ndarray) -> np.ndarray:
-    """Column-wise V for an (n, R) state block (centered sum of squares)."""
-    C = X - X.mean(axis=0, keepdims=True)
-    return np.einsum("ir,ir->r", C, C)
+    """Column-wise V (centered sum of squares) for an (n, R) state block,
+    or for each block of a (k, n, R) stack, giving (k, R)."""
+    C = X - X.mean(axis=-2, keepdims=True)
+    return np.einsum("...ir,...ir->...r", C, C)
 
 
 def _require_finite(ts: np.ndarray, V: np.ndarray) -> None:
@@ -380,24 +440,36 @@ class MonteCarloResult:
     replicas: int
 
 
-_V_CHUNK = 64  # steps of per-replica V buffered per reduction in _summarize
+# steps of state blocks buffered per V reduction in _summarize: at n = 5,
+# R = 500 on a 2-CPU x86-64 host a 16-step buffer (320 kB) reduced
+# fastest, and a 64-step one fell out of cache
+_V_CHUNK = 16
 
 
 def _summarize(ts: np.ndarray, X: np.ndarray, blocks: Iterator[np.ndarray]) -> MonteCarloResult:
     """Mean and standard error of V over the replica columns of the (n, R)
     block X and of every block `blocks` yields, one block per entry of ts;
-    the last block holds the final states.  V is reduced _V_CHUNK steps at
-    a time; each row reduction runs the same pairwise sum as a per-step one."""
+    the last block holds the final states.
+
+    Blocks are buffered _V_CHUNK steps at a time and V is reduced once per
+    chunk.  The buffer keeps the memory layout of X (C order, or the
+    transpose of a C-order (R, n) array): a sum over nodes runs in memory
+    order, so the layout fixes its bytes, and a chunk gives the same bytes
+    as one reduction per block."""
     replicas = X.shape[1]
     meanV = np.empty(ts.size)
     seV = np.empty(ts.size)
-    buf = np.empty((_V_CHUNK, replicas))
+    if X.flags.f_contiguous and not X.flags.c_contiguous:
+        buf = np.empty((_V_CHUNK,) + X.T.shape).transpose(0, 2, 1)
+    else:
+        buf = np.empty((_V_CHUNK,) + X.shape)
     blocks = itertools.chain([X], blocks)
     for lo in range(0, ts.size, _V_CHUNK):
         hi = min(lo + _V_CHUNK, ts.size)
-        V = buf[:hi - lo]
+        chunk = buf[:hi - lo]
         for j, X in zip(range(hi - lo), blocks):
-            V[j] = _disagreement_vec(X)
+            chunk[j] = X
+        V = _disagreement_vec(chunk)
         _require_finite(ts[lo:hi], V)
         meanV[lo:hi] = V.mean(axis=1)
         seV[lo:hi] = V.std(axis=1, ddof=1)
@@ -412,10 +484,11 @@ def monte_carlo_V(process: TopologyProcess, gains: GainSchedule, noise: NoiseMod
 
     Deterministic processes share their topology and one noise sampler
     across replicas and are advanced as one (n, replicas) block.  Random
-    processes give replica r its own process seed and noise stream, both
-    derived from (seed, r); each replica is advanced on its own and the
-    replica states of every step are stacked into one (n, replicas) block.
-    Both paths reduce their blocks with the same recorder.
+    processes give replica r its own process seed and noise seed, both
+    derived from (seed, r), so replica r follows exactly the single run
+    with those seeds; the replicas still advance together, with one
+    stacked-Laplacian `step` per time and a one-key-per-replica noise
+    sampler.  Both paths reduce their blocks with the same recorder.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
@@ -431,14 +504,20 @@ def monte_carlo_V(process: TopologyProcess, gains: GainSchedule, noise: NoiseMod
         blocks = _advance(process, a_all, X, horizon,
                           lambda g, t: sampler.aggregate_batch(g, t, replicas))
         return _summarize(ts, X, blocks)
-    walks = []
-    for r in range(replicas):
-        sub = np.random.SeedSequence(entropy=seed, spawn_key=(TAG_REPLICA, r))
-        proc_seed, noise_seed = (int(s) for s in sub.generate_state(2, np.uint64))
-        sampler = EdgeNoiseSampler(noise, n, noise_seed)
-        walks.append(_advance(process.reseeded(proc_seed), a_all, x1, horizon,
-                              sampler.aggregate))
-    return _summarize(ts, X, (np.stack(xs, axis=1) for xs in zip(*walks)))
+    seeds = np.array([np.random.SeedSequence(entropy=seed, spawn_key=(TAG_REPLICA, r))
+                      .generate_state(2, np.uint64) for r in range(replicas)])
+    procs = [process.reseeded(proc_seed) for proc_seed in seeds[:, 0].tolist()]
+    sampler = EdgeNoiseSampler(noise, n, seeds[:, 1].tolist(), horizon=horizon)
+
+    def blocks() -> Iterator[np.ndarray]:
+        x = np.tile(x1, (replicas, 1))
+        for t in range(1, horizon + 1):
+            gs = [proc.graph_at(t) for proc in procs]
+            w_hat = sampler.aggregate_batch(np.array([g.weights for g in gs]), t, replicas)
+            x = step(x, np.array([_cached_laplacian(g) for g in gs]), a_all[t - 1], w_hat)
+            yield x.T
+
+    return _summarize(ts, X, blocks())
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,20 @@ unless set):
   that order.
 - random-block Monte Carlo gives replica r its own process and noise
   seeds, derived by `SeedSequence(seed, spawn_key=(TAG_REPLICA, r))`.
+  Replica r draws exactly what a single run with those seeds draws; the
+  replicas are only evaluated together.
 
 The same config and seed give the same bytes within one version; each
 change of this layout is named in CHANGES.md.
+
+Philox4x64-10 is a pure function of (counter, key) (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).  numpy's Philox
+increments word 0 of the counter before it computes each block, so the
+draws of path (a, b, c) are the words of blocks [k, c, b, a], k = 1, 2,
+....  `philox4x64` evaluates those blocks for whole arrays of counters
+and keys, and `uniform_lanes` turns them into the doubles numpy's
+`Generator.uniform` would draw: the same bytes for many keys and paths
+in one call, with the stream layout above unchanged.
 """
 
 from __future__ import annotations
@@ -54,20 +65,75 @@ def philox_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
-def _counter(path: tuple[int, ...]) -> np.ndarray:
-    """Philox counter of `path`: up to three components in the high words,
-    first component highest; word 0 advances as the stream is consumed."""
+def _counter(path: tuple[int, ...]) -> list[int]:
+    """Philox counter words of `path`: up to three components in the high
+    words, first component highest; word 0 advances as the stream is
+    consumed."""
     if len(path) > 3:
         raise ValueError("substream path supports at most 3 components")
-    counter = np.zeros(4, dtype=np.uint64)
-    for slot, part in zip((3, 2, 1), path):
-        counter[slot] = np.uint64(int(part) & _MASK64)
-    return counter
+    words = [0, 0, 0, 0]
+    words[4 - len(path):] = [int(part) & _MASK64 for part in reversed(path)]
+    return words
 
 
 def substream(key: np.ndarray, *path: int) -> np.random.Generator:
     """Fresh generator positioned at the counter block addressed by `path`."""
-    return np.random.Generator(np.random.Philox(key=key, counter=_counter(path)))
+    counter = np.array(_counter(path), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+# Philox4x64 round multipliers and Weyl key increments (Random123)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(m: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product m * b, from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> _S32
+    b_lo, hi = b & _LOW32, b >> _S32
+    mid = m_lo * hi
+    cross = m_hi * b_lo  # plus the carries below: at most 2^64 - 1
+    cross += (m_lo * b_lo) >> _S32
+    cross += mid & _LOW32
+    hi *= m_hi
+    hi += mid >> _S32
+    hi += cross >> _S32
+    return hi, m * b
+
+
+def philox4x64(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 output words for uint64 `counter` (last axis 4) and
+    `key` (last axis 2), broadcast against each other: the block numpy's
+    Philox computes after it has advanced its counter to `counter`."""
+    c0, c1, c2, c3 = (counter[..., i] for i in range(4))
+    keys = key[..., None, :] + np.arange(10, dtype=np.uint64)[:, None] * _PHILOX_W
+    with np.errstate(over="ignore"):  # uint64 products wrap by design
+        for r in range(10):
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            hi1, hi0 = hi1 ^ keys[..., r, 0], hi0 ^ keys[..., r, 1]
+            hi1 ^= c1
+            hi0 ^= c3
+            c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+
+
+def uniform_lanes(keys: np.ndarray, paths, count: int, low: float, high: float) -> np.ndarray:
+    """`substream(key, *path).uniform(low, high, count)` for every row of
+    the (R, 2) uint64 `keys` and every path (up to three components), as one
+    (len(paths), R, count) array with the same bytes."""
+    blocks = -(-count // 4)
+    counter = np.empty((len(paths), 1, blocks, 4), dtype=np.uint64)
+    counter[..., 0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    tops = np.array([_counter(path)[1:] for path in paths], dtype=np.uint64)
+    counter[..., 1:] = tops[:, None, None]
+    words = philox4x64(counter, keys[:, None, :]).reshape(len(paths), len(keys), 4 * blocks)
+    u = np.multiply(words[..., :count] >> np.uint64(11), 1.0 / 9007199254740992.0)
+    u *= high - low  # low + (high - low) * u, as numpy's uniform, in place
+    u += low
+    return u
 
 
 class StreamPool:
@@ -83,13 +149,14 @@ class StreamPool:
         self.key = key
         self._bitgen = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bitgen)
+        # the state every seat writes; only its counter changes
+        self._state = self._bitgen.state
+        self._state["buffer_pos"] = 4  # discard buffered words from prior position
+        self._state["has_uint32"] = 0  # and a buffered 32-bit half of one
+        self._state["uinteger"] = 0
 
     def at(self, *path: int) -> np.random.Generator:
         """Position the shared generator at `path` and return it."""
-        state = self._bitgen.state
-        state["state"]["counter"] = _counter(path)
-        state["buffer_pos"] = 4  # discard buffered words from prior position
-        state["has_uint32"] = 0  # and a buffered 32-bit half of one
-        state["uinteger"] = 0
-        self._bitgen.state = state
+        self._state["state"]["counter"] = _counter(path)
+        self._bitgen.state = self._state
         return self._gen

@@ -26,7 +26,7 @@ from .graph import (
     star_graph,
     union,
 )
-from .rng import TAG_TOPOLOGY_BLOCK, philox_key, substream
+from .rng import TAG_TOPOLOGY_BLOCK, StreamPool
 
 _BOUND_SLACK = 1e-9
 _ARGMIN_CHUNK = 1 << 20  # steps per gain evaluation in AdversarialProcess
@@ -294,6 +294,14 @@ def _dealt_graph(n: int, pairs: tuple[tuple[int, int, float], ...], width: int, 
     return from_edges(n, picked + tuple((i, j, w) for j, i, w in picked), a_max)
 
 
+@functools.lru_cache(maxsize=4096)
+def _cycle_slot_graphs(n: int, perm: tuple[int, ...], K: int) -> tuple[WeightedDigraph, ...]:
+    """The K slot graphs of a block whose permutation cycle visits `perm`
+    in order (all empty for perm = ()), dealt by `_dealt_graph`."""
+    cycle = tuple((u, perm[(k + 1) % n], 1.0) for k, u in enumerate(perm))
+    return tuple(_dealt_graph(n, cycle, K, slot, 1.0) for slot in range(K))
+
+
 class ExtensibleBlockProcess(TopologyProcess):
     """Connected unions exactly at milestone windows of a (delta, c) schedule.
 
@@ -377,6 +385,8 @@ class RandomBlockProcess(TopologyProcess):
     deterministic = False
 
     def __init__(self, K: int, mu: float, p: float, n: int, seed: int):
+        if n < 2:
+            raise ValueError(f"need n >= 2, got n = {n}")
         if K < 1:
             raise ValueError("need K >= 1")
         if not (0 < mu < 0.5):
@@ -388,8 +398,8 @@ class RandomBlockProcess(TopologyProcess):
         self.mu = mu
         self.p = p
         self.seed = seed
-        self._key = philox_key(seed)
-        self._current: tuple[int, list[WeightedDigraph]] = (-1, [])
+        self._pool = StreamPool(seed)
+        self._current: tuple[int, tuple[WeightedDigraph, ...]] = (-1, ())
 
     def reseeded(self, seed: int) -> "RandomBlockProcess":
         return RandomBlockProcess(self.K, self.mu, self.p, self.n, seed)
@@ -398,18 +408,17 @@ class RandomBlockProcess(TopologyProcess):
         s = 1 + block * self.K
         return min(1.0, self.p * s ** (-self.mu) * max(math.log(s), 0.0))
 
-    def _block_graphs(self, block: int) -> list[WeightedDigraph]:
-        """Slot graphs of `block`; only the latest block is kept, since
-        graph_at is called in time order and the graphs themselves are
-        shared through `_dealt_graph`."""
+    def _block_graphs(self, block: int) -> tuple[WeightedDigraph, ...]:
+        """Slot graphs of `block`, drawn from path (TAG_TOPOLOGY_BLOCK,
+        block); only the latest block is kept, since graph_at is called in
+        time order and the graphs themselves are shared."""
         if self._current[0] == block:
             return self._current[1]
-        gen = substream(self._key, TAG_TOPOLOGY_BLOCK, block)
-        cycle = ()
+        gen = self._pool.at(TAG_TOPOLOGY_BLOCK, block)
+        perm = ()
         if gen.random() < self.connection_probability(block):
-            perm = [int(v) for v in gen.permutation(self.n)]
-            cycle = tuple((u, perm[(k + 1) % self.n], 1.0) for k, u in enumerate(perm))
-        graphs = [_dealt_graph(self.n, cycle, self.K, slot, 1.0) for slot in range(self.K)]
+            perm = tuple(gen.permutation(self.n).tolist())
+        graphs = _cycle_slot_graphs(self.n, perm, self.K)
         self._current = (block, graphs)
         return graphs
 

@@ -163,6 +163,12 @@ class TestAggregateNoise:
         samples = np.array([sampler.aggregate(g, t)[1] for t in range(1, 20001)])
         assert samples.var() == pytest.approx(4.0, rel=0.08)
 
+    def test_received_weight_sq_pinned_to_graph(self):
+        g = G.from_edges(3, [(0, 1, 2.0), (2, 1, 1.5)], a_max=2.0)
+        sq = D._received_weight_sq(g)
+        np.testing.assert_array_equal(sq, [0.0, 6.25, 0.0])
+        assert D._received_weight_sq(g) is sq and not sq.flags.writeable
+
     def test_covariance_helper(self):
         g = G.from_edges(3, [(0, 1, 2.0)], a_max=2.0)
         C = D.aggregate_noise_covariance(g, D.make_noise("iid_gaussian", v=1.0))
@@ -195,7 +201,50 @@ class TestAggregateNoise:
             np.testing.assert_array_equal(got, np.einsum("ij,ijr->ir", g.weights, W))
 
 
+class TestReplicaKeyedSampler:
+    @staticmethod
+    def _graphs(n, replicas, t):
+        procs = [T.RandomBlockProcess(2, 0.3, 5.0, n, seed=r) for r in range(replicas)]
+        return [p.graph_at(t) for p in procs]
+
+    # R = 64 at n = 5 gives 9 steps per kernel call: 40 steps cross four seams
+    @pytest.mark.parametrize("replicas,horizon", [(64, 40), (64, 5), (7, 30), (2, 3)])
+    @pytest.mark.parametrize("kind", ["iid_uniform", "iid_gaussian", "m_dependent_ma",
+                                      "martingale_difference", "zero"])
+    def test_rows_match_single_samplers(self, kind, replicas, horizon):
+        n = 5
+        nm = D.make_noise(kind, v=0.02, m=2)
+        seeds = [1000 + 7 * r for r in range(replicas)]
+        batch = D.EdgeNoiseSampler(nm, n, seeds, horizon=horizon)
+        singles = [D.EdgeNoiseSampler(nm, n, s) for s in seeds]
+        for t in range(1, horizon + 1):
+            gs = self._graphs(n, replicas, t)
+            got = batch.aggregate_batch(np.array([g.weights for g in gs]), t, replicas)
+            want = np.array([sm.aggregate(g, t) for sm, g in zip(singles, gs)])
+            np.testing.assert_array_equal(got, want)
+
+    def test_uniform_chunk_capped_at_horizon(self):
+        nm = D.make_noise("iid_uniform", v=0.02)
+        batch = D.EdgeNoiseSampler(nm, 5, list(range(64)), horizon=5)
+        batch.aggregate_batch(np.zeros((64, 5, 5)), 1, 64)
+        assert batch._chunk[1].shape == (5, 64, 5, 5)
+
+
 class TestStep:
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_stacked_laplacians_match_per_row_steps(self, n):
+        rng = np.random.default_rng(n)
+        graphs = [T.RandomBlockProcess(1 + k % 3, 0.3, 5.0, n, seed=k).graph_at(2 + k)
+                  for k in range(60)]
+        graphs += [G.WeightedDigraph(n, rng.uniform(1.0, 3.0, (n, n)) * (1 - np.eye(n)), 3.0)
+                   for _ in range(60)]
+        x = rng.standard_normal((len(graphs), n)) * 10
+        w = rng.standard_normal((len(graphs), n))
+        Ls = np.array([G.laplacian(g) for g in graphs])
+        got = D.step(x, Ls, 0.0123, w)
+        want = np.array([D.step(x[r], g, 0.0123, w[r]) for r, g in enumerate(graphs)])
+        np.testing.assert_array_equal(got, want)
+
     def test_complete_graph_averaging(self):
         g = G.complete_graph(4)
         out = D.step(np.array([0.0, 1.0, 2.0, 5.0]), g, 0.25, np.zeros(4))
@@ -394,31 +443,42 @@ class TestAffineScan:
 
 
 def _per_replica_reference(process, gains, noise, x1, horizon, replicas, seed):
-    """One `run` per replica on its derived process and noise seeds."""
-    V, finals = [], []
+    """One `run` per replica on its derived process and noise seeds; V is
+    reduced over the (time, n, replica) stack of their states, in the
+    layout the Monte Carlo recorder reduces."""
+    states = []
     for r in range(replicas):
         sub = np.random.SeedSequence(entropy=seed, spawn_key=(TAG_REPLICA, r))
         proc_seed, noise_seed = (int(s) for s in sub.generate_state(2, np.uint64))
         trace = D.run(process.reseeded(proc_seed), gains, noise, x1, horizon, noise_seed)
-        V.append(trace.disagreement)
-        finals.append(trace.states[-1])
-    V = np.array(V)
-    return V.mean(axis=0), V.std(axis=0, ddof=1) / math.sqrt(replicas), np.array(finals)
+        states.append(trace.states)
+    V = D._disagreement_vec(np.stack(states, axis=-1))
+    return V.mean(axis=1), V.std(axis=1, ddof=1) / math.sqrt(replicas), np.array(states)[:, -1]
 
 
 class TestMonteCarlo:
-    @pytest.mark.parametrize("kind", ["iid_gaussian", "iid_uniform", "m_dependent_ma"])
-    def test_random_process_matches_per_replica_runs(self, kind):
-        proc = T.RandomBlockProcess(3, 0.3, 1.0, 5, seed=0)
+    # replica counts 12 and 7 split no lane budget evenly; n = 2 repeats
+    # its one pair in the cycle; K = 1 puts the whole cycle in every slot
+    @pytest.mark.parametrize("kind,K,n,replicas", [
+        pytest.param("iid_gaussian", 3, 5, 12, id="iid_gaussian"),
+        pytest.param("iid_uniform", 3, 5, 12, id="iid_uniform"),
+        pytest.param("m_dependent_ma", 3, 5, 12, id="m_dependent_ma"),
+        pytest.param("martingale_difference", 2, 4, 12, id="martingale_difference"),
+        pytest.param("zero", 3, 5, 12, id="zero"),
+        pytest.param("iid_uniform", 1, 5, 12, id="iid_uniform-K1"),
+        pytest.param("iid_uniform", 3, 2, 12, id="iid_uniform-n2"),
+        pytest.param("iid_uniform", 2, 9, 7, id="iid_uniform-n9-R7"),
+    ])
+    def test_random_process_matches_per_replica_runs(self, kind, K, n, replicas):
+        proc = T.RandomBlockProcess(K, 0.3, 1.0, n, seed=0)
         gains = cl.GainSchedule("power", alpha=8.0, t_star=64.0, exponent=0.7)
         nm = D.make_noise(kind, v=0.01, m=2)
-        x1 = np.linspace(0, 1, 5)
-        mc = D.monte_carlo_V(proc, gains, nm, x1, 300, 12, seed=20240909)
-        mean, se, finals = _per_replica_reference(proc, gains, nm, x1, 300, 12, 20240909)
+        x1 = np.linspace(0, 1, n)
+        mc = D.monte_carlo_V(proc, gains, nm, x1, 300, replicas, seed=20240909)
+        mean, se, finals = _per_replica_reference(proc, gains, nm, x1, 300, replicas, 20240909)
         np.testing.assert_array_equal(mc.final_states, finals)
-        np.testing.assert_allclose(mc.mean_V, mean, rtol=1e-12)
-        np.testing.assert_allclose(mc.stderr_V[1:], se[1:], rtol=1e-12)
-        assert mc.stderr_V[0] == se[0] == 0.0
+        np.testing.assert_array_equal(mc.mean_V, mean)
+        np.testing.assert_array_equal(mc.stderr_V, se)
 
     @pytest.mark.parametrize("random", [False, True])
     def test_wrong_length_x1_rejected(self, random):
@@ -506,6 +566,20 @@ class TestSummarize:
         np.testing.assert_array_equal(res.stderr_V, seV)
         np.testing.assert_array_equal(res.final_states, finals)
         assert res.replicas == replicas
+
+
+    @pytest.mark.parametrize("steps", [1, 65, 130])
+    def test_transposed_blocks_match_per_step_reduction(self, steps):
+        # MANET passes transposes of C-order (runs, n) arrays; at n = 9 a sum
+        # over their nodes runs in another order than over C-order blocks
+        rng = np.random.default_rng(steps)
+        rows = rng.standard_normal((steps, 7, 9)) * rng.uniform(0.1, 10.0, (steps, 1, 1))
+        blocks = [r.T for r in rows]
+        res = D._summarize(np.arange(1, steps + 1), blocks[0], iter(blocks[1:]))
+        meanV, seV, finals = _per_step_summary(np.arange(1, steps + 1), blocks)
+        np.testing.assert_array_equal(res.mean_V, meanV)
+        np.testing.assert_array_equal(res.stderr_V, seV)
+        np.testing.assert_array_equal(res.final_states, finals)
 
 
 class TestNonFiniteState:

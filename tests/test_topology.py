@@ -321,6 +321,10 @@ class TestRandomBlockProcess:
         with pytest.raises(ValueError):
             T.RandomBlockProcess(2, 0.3, 0.0, 3, 0)
 
+    def test_rejects_single_node_at_construction(self):
+        with pytest.raises(ValueError, match="n >= 2, got n = 1"):
+            T.RandomBlockProcess(3, 0.3, 1.0, 1, seed=0)
+
 
 def test_star_rotation_components_all_connected():
     comps = T.star_rotation_components(5)

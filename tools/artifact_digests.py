@@ -5,8 +5,10 @@
 Runs every `configs/*.json` at the reduced sizes of the checked-in-config
 tests, the four `perfbench/configs/*.json` at small sizes, protocol runs
 and Monte Carlo runs with moving-average, martingale-difference and
-uniform noise, an exact adversarial study and one two-value sweep, each
-into its own directory under OUT_DIR.  Then prints `sha256  relpath` for every file under OUT_DIR,
+uniform noise, a uniform-noise random-block Monte Carlo long and wide
+enough to cross several chunks of batched per-replica draws, an exact
+adversarial study and one two-value sweep, each into its own directory
+under OUT_DIR.  Then prints `sha256  relpath` for every file under OUT_DIR,
 sorted by path.  `consensuslab` is imported from the `src` directory of
 the tree this script lives in.
 
@@ -89,6 +91,10 @@ def run_all(out: Path) -> None:
             "topology": MC_TOPOLOGIES[label], "gains": GAINS, "noise": noise,
             "x1": [float(k * k) for k in range(n)],
             "out_dir": str(out / f"monte_carlo_{label}")})
+    cli.run_experiment({
+        "kind": "monte_carlo", "seed": 13, "horizon": 300, "replicas": 64,
+        "topology": RUN_TOPOLOGIES["uniform"], "gains": GAINS, "noise": NOISES["uniform"],
+        "out_dir": str(out / "monte_carlo_uniform_random_block")})
     cfg = _load(ROOT / "configs" / "adversarial_rates.json", CHECKED_IN["adversarial_rates.json"])
     cli.run_experiment(cfg | {"method": "exact", "out_dir": str(out / "adversarial_exact")})
     cli.sweep(cfg | {"out_dir": str(out / "sweep_delta")}, "delta", [0.2, 0.3])
