@@ -533,6 +533,14 @@ def exact_second_moment(process: TopologyProcess, gains: GainSchedule,
     second moment M obeys M(t+1) = J A_t M(t) A_t' J + a(t)^2 J C_w(t) J
     and E V(x(t)) = tr M(t).  `noise_cov` may be a NoiseModel (must be an
     independent-across-time kind) or a constant (n, n) matrix.
+
+    L and J C_w J are computed once per distinct graph.  Two steps are
+    skipped where they are exact identities in floating point: on an
+    empty graph A_t = I, and I M I' is M itself (each entry sums one
+    product 1 * m and exact zeros); and where J C_w J is all zero, adding
+    it leaves M unchanged.  Every other operation runs in the order
+    written above, so for finite gains and moments the output does not
+    depend on the skips.
     """
     if not process.deterministic:
         raise ValueError("exact second moments need a deterministic topology process")
@@ -548,23 +556,33 @@ def exact_second_moment(process: TopologyProcess, gains: GainSchedule,
     else:
         C = np.asarray(noise_cov, dtype=float)
         cov_at = lambda g: C
-    J = np.eye(n) - np.ones((n, n)) / n
+    I = np.eye(n)
+    J = I - np.ones((n, n)) / n
     y = J @ x1
     M = np.outer(y, y)
     ts = np.arange(1, horizon + 2)
     EV = np.empty(horizon + 1)
     EV[0] = float(np.trace(M))
     a_all = gains.values(np.arange(1, horizon + 1))
+    # id(g) -> (g, L or None if zero, J C J or None if zero); holding g
+    # keeps its id from being reused
+    per_graph: dict[int, tuple] = {}
     for t in range(1, horizon + 1):
         g = process.graph_at(t)
-        L = _cached_laplacian(g)
+        hit = per_graph.get(id(g))
+        if hit is None:
+            L = _cached_laplacian(g)
+            JCJ = J @ cov_at(g) @ J
+            hit = per_graph[id(g)] = (g, L if L.any() else None, JCJ if JCJ.any() else None)
+        _, L, JCJ = hit
         a = a_all[t - 1]
-        A = np.eye(n) - a * L
-        M = A @ M @ A.T
+        if L is not None:
+            A = I - a * L
+            M = A @ M @ A.T
         M = J @ M @ J
-        C = cov_at(g)
-        M += a * a * (J @ C @ J)
-        EV[t] = float(np.trace(M))
+        if JCJ is not None:
+            M += a * a * JCJ
+        EV[t] = M.trace()
     return ts, EV
 
 

@@ -134,20 +134,25 @@ def is_balanced(g: WeightedDigraph, tol: float = DEFAULT_BALANCE_TOL) -> bool:
     return bool(np.all(np.abs(din - dout) <= tol))
 
 
-def is_strongly_connected(g: WeightedDigraph | np.ndarray) -> bool:
+def is_strongly_connected(g: WeightedDigraph | np.ndarray) -> bool | np.ndarray:
     """Directed path between every ordered node pair.
 
-    `g` is a graph or any square matrix in the receiver-row convention,
-    where a nonzero entry [i, j] is an edge j -> i.  The reflexive closure
-    (I | A)^(2^k) covers every path of length at most 2^k, so k =
-    ceil(log2(n - 1)) boolean squarings reach all paths of length n - 1.
+    `g` is a graph, or a square matrix or a (..., n, n) stack of them in
+    the receiver-row convention, where a nonzero entry [i, j] is an edge
+    j -> i.  The reflexive closure (I | A)^(2^k) covers every path of
+    length at most 2^k, so k = ceil(log2(n - 1)) boolean squarings reach
+    all paths of length n - 1; a stack is squared matrix by matrix in one
+    call.  Returns a Python bool for one matrix and a boolean array of
+    the stack's leading shape otherwise.
     """
     adj = g.weights if isinstance(g, WeightedDigraph) else np.asarray(g)
-    n = adj.shape[0]
-    reach = (adj != 0) | np.eye(n, dtype=bool)
+    n = adj.shape[-1]
+    reach = adj != 0
+    reach |= np.eye(n, dtype=bool)
     for _ in range((n - 2).bit_length()):
         reach = reach @ reach
-    return bool(reach.all())
+    ok = reach.all(axis=(-2, -1))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def union(graphs: Sequence[WeightedDigraph]) -> np.ndarray:

@@ -9,6 +9,7 @@ connected and window growth is bounded by t_k <= t_{k-1} + c t_{k-1}^delta.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -30,6 +31,15 @@ from .rng import TAG_TOPOLOGY_BLOCK, StreamPool
 
 _BOUND_SLACK = 1e-9
 _ARGMIN_CHUNK = 1 << 20  # steps per gain evaluation in AdversarialProcess
+_WINDOW_CHUNK = 1024  # windows per stacked connectivity check; bounds its temporaries
+
+
+def _check_bound(delta: float, c: float) -> None:
+    """Reject a (delta, c) pair outside delta >= 0, c >= 1, NaN included."""
+    if not delta >= 0:
+        raise ValueError(f"need delta >= 0 and c >= 1, got delta = {delta}")
+    if not c >= 1:
+        raise ValueError(f"need delta >= 0 and c >= 1, got c = {c}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,7 @@ class ConnectivitySchedule:
             raise ValueError("schedule must start at t_1 = 1")
         if np.any(np.diff(t) <= 0):
             raise ValueError("schedule times must be strictly increasing")
-        if self.delta < 0 or self.c < 1:
-            raise ValueError("need delta >= 0 and c >= 1")
+        _check_bound(self.delta, self.c)
         prev = t[:-1].astype(float)
         if np.any(t[1:] > prev + self.c * prev**self.delta + _BOUND_SLACK):
             raise ValueError("schedule violates t_k <= t_{k-1} + c t_{k-1}^delta")
@@ -73,8 +82,7 @@ def schedule_times(delta: float, c: float, horizon: int) -> ConnectivitySchedule
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if delta < 0 or c < 1:
-        raise ValueError("need delta >= 0 and c >= 1")
+    _check_bound(delta, c)
     times = [1]
     while (nxt := _next_milestone(times[-1], delta, c)) <= horizon:
         times.append(nxt)
@@ -108,66 +116,84 @@ def _earliest_completions(trace: Sequence[WeightedDigraph]) -> np.ndarray:
     """comp[s] = earliest e > s with the union over times [s, e) strongly
     connected, or horizon + 2 if no window starting at s completes.
 
-    comp is nondecreasing in s (shrinking a window cannot create
-    connectivity), so a sliding window with edge multiplicities computes
-    all values in one pass.  Entries are indexed 1..horizon + 1.
+    Adding graphs to a window cannot break its connectivity, so for each s
+    the windows [s, e) are connected for every e from comp[s] on, and comp
+    is nondecreasing in s.  Every comp[s] is found at once by bisection on
+    e: with cum[t] the edge-presence counts over times 1..t, the union
+    over [s, e) is cum[e - 1] - cum[s - 1], and each round checks all open
+    windows in stacked `is_strongly_connected` calls of at most
+    `_WINDOW_CHUNK` windows.  Entries are indexed 1..horizon + 1.
     """
     horizon = len(trace)
     if not horizon:
         raise ValueError("trace must be nonempty")
     n = trace[0].n
-    INF = horizon + 2
-    comp = np.full(horizon + 2, INF, dtype=np.int64)
-    counts = np.zeros((n, n), dtype=np.int64)
-    e = 1  # window is [s, e): graphs at times s..e-1 are inside
-    for s in range(1, horizon + 2):
-        if e < s:
-            e = s
-        while True:
-            if e > s and is_strongly_connected(counts):
-                comp[s] = e
-                break
-            if e > horizon:
-                break
-            counts += trace[e - 1].weights != 0
-            e += 1
-        if s <= horizon and e > s:
-            counts -= trace[s - 1].weights != 0
-    return comp
+    ids = np.fromiter(map(id, trace), dtype=np.int64, count=horizon)
+    _, first, idx = np.unique(ids, return_index=True, return_inverse=True)
+    graphs = [trace[i] for i in first]  # each distinct graph once
+    if any(g.n != n for g in graphs):
+        raise ValueError("all graphs in a trace must share the node count")
+    dtype = np.min_scalar_type(horizon)
+    cum = np.zeros((horizon + 1, n, n), dtype=dtype)
+    np.take(np.array([g.weights != 0 for g in graphs], dtype=dtype), idx, axis=0, out=cum[1:],
+            mode="clip")  # in range; "raise" would buffer the output
+    np.cumsum(cum, axis=0, out=cum)
+
+    def connected(s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        ok = np.empty(s.size, dtype=bool)
+        for k in range(0, s.size, _WINDOW_CHUNK):
+            counts = cum[e[k:k + _WINDOW_CHUNK] - 1]
+            counts -= cum[s[k:k + _WINDOW_CHUNK] - 1]
+            ok[k:k + _WINDOW_CHUNK] = is_strongly_connected(counts)
+        return ok
+
+    comp = np.full(horizon + 2, horizon + 2, dtype=np.int64)
+    s = np.arange(1, horizon + 1)
+    hi = np.full(horizon, horizon + 1)
+    s = s[connected(s, hi)]  # windows that ever complete
+    lo, hi = s, hi[:s.size]  # [s, lo) disconnected, [s, hi) connected
+    while True:
+        done = hi - lo <= 1
+        comp[s[done]] = hi[done]
+        s, lo, hi = s[~done], lo[~done], hi[~done]
+        if not s.size:
+            return comp
+        mid = (lo + hi) // 2
+        ok = connected(s, mid)
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
 
 
-def _feasible_milestones(comp: np.ndarray, horizon: int, delta: float, c: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Feasibility of each candidate milestone under the (delta, c) bound.
+def _deadlines(horizon: int, delta: float, c: float) -> list[float]:
+    """s + c s^delta for s = 0..horizon + 1, each from a scalar Python
+    power, so no vectorized power can move the last bit of a deadline."""
+    return [s + c * float(s) ** delta for s in range(horizon + 2)]
+
+
+def _feasible_milestones(comp: np.ndarray, deadlines: list[float]) -> tuple[int, list[int]]:
+    """The certified end milestone and the parent of every feasible one.
 
     A time t is a feasible milestone iff t = 1 or some feasible s < t has
     a connected window union (comp[s] <= t) and meets its deadline
-    (s + c s^delta >= t).  comp monotonicity reduces the search to a
-    prefix maximum of deadlines; parents allow witness reconstruction.
+    (deadlines[s] >= t).  comp is nondecreasing, so the s with comp[s] <= t
+    are a prefix 1..p(t), and deadlines increase with s, so the largest
+    feasible s <= p(t) is the best parent; parent[t] = 0 marks an
+    infeasible t.  The end is the last feasible milestone if its deadline
+    passes the end of the trace (the final window starting there is
+    censored rather than failed), else 0: no witness exists.
     """
-    feasible = np.zeros(horizon + 2, dtype=bool)
-    parent = np.zeros(horizon + 2, dtype=np.int64)
-    feasible[1] = True
-    dl = lambda s: s + c * float(s) ** delta
-    p = 0  # largest s with comp[s] <= current t
-    best_dl, best_s = -np.inf, 0
+    horizon = len(comp) - 2
+    prefix = np.searchsorted(comp[1:], np.arange(horizon + 2), side="right").tolist()
+    parent = [0] * (horizon + 2)
+    latest = [0, 1]  # latest[s] = largest feasible milestone <= s
     for t in range(2, horizon + 2):
-        while p + 1 <= horizon + 1 and comp[p + 1] <= t:
-            p += 1
-            if feasible[p] and dl(p) > best_dl:
-                best_dl, best_s = dl(p), p
-        if best_s and best_dl >= t - _BOUND_SLACK:
-            feasible[t] = True
-            parent[t] = best_s
-    return feasible, parent
-
-
-def _final_milestones(feasible: np.ndarray, horizon: int, delta: float, c: float
-                      ) -> list[int]:
-    """Feasible milestones whose deadline passes the end of the trace: the
-    final window starting there is censored rather than failed."""
-    return [s for s in range(1, horizon + 2)
-            if feasible[s] and s + c * float(s) ** delta > horizon + _BOUND_SLACK]
+        s = latest[prefix[t]]
+        if s and deadlines[s] >= t - _BOUND_SLACK:
+            parent[t] = s
+            latest.append(t)
+        else:
+            latest.append(latest[-1])
+    end = latest[-1] if deadlines[latest[-1]] > horizon + _BOUND_SLACK else 0
+    return end, parent
 
 
 def verify_joint_connectivity(
@@ -181,18 +207,19 @@ def verify_joint_connectivity(
     extends past the trace is censored rather than failed.  Feasible
     milestone positions are computed by a forward scan (greedy earliest
     completion alone can reject valid traces, so all positions are
-    tracked).  Returns a witness schedule when the bound holds.
+    tracked).  Returns a witness schedule when the bound holds; raises
+    ValueError for delta < 0, c < 1 (NaN included) or a trace whose
+    graphs disagree on the node count.
     """
+    _check_bound(delta, c)
     trace = list(trace)
     horizon = len(trace)
-    comp = _earliest_completions(trace)
-    feasible, parent = _feasible_milestones(comp, horizon, delta, c)
-    ok = _final_milestones(feasible, horizon, delta, c)
-    if not ok:
+    end, parent = _feasible_milestones(_earliest_completions(trace), _deadlines(horizon, delta, c))
+    if not end:
         return False, None
-    chain = [max(ok)]
+    chain = [end]
     while chain[-1] != 1:
-        chain.append(int(parent[chain[-1]]))
+        chain.append(parent[chain[-1]])
     chain.reverse()
     return True, ConnectivitySchedule(delta, c, np.array(chain, dtype=np.int64))
 
@@ -200,22 +227,29 @@ def verify_joint_connectivity(
 def minimal_delta(
     trace: Sequence[WeightedDigraph], c: float, grid_step: float = 0.01, grid_max: float = 5.0
 ) -> float:
-    """Smallest grid delta for which `verify_joint_connectivity` holds.
+    """Smallest delta on the grid k * grid_step <= grid_max, k = 0, 1, ...,
+    for which `verify_joint_connectivity` holds.
 
     Feasibility is monotone in delta (looser deadlines only enlarge the
     feasible milestone set), so a bisection over the grid suffices; the
     window-completion table is delta-independent and computed once.
+    Raises ValueError for c < 1, a grid_step that is not positive and
+    finite, or a grid_max that is not nonnegative and finite.
     """
+    _check_bound(0.0, c)
+    if not (grid_step > 0 and math.isfinite(grid_step)):
+        raise ValueError(f"need a finite grid_step > 0, got grid_step = {grid_step}")
+    if not (grid_max >= 0 and math.isfinite(grid_max)):
+        raise ValueError(f"need a finite grid_max >= 0, got grid_max = {grid_max}")
     trace = list(trace)
     horizon = len(trace)
     comp = _earliest_completions(trace)
 
     def passes(delta: float) -> bool:
-        feasible, _ = _feasible_milestones(comp, horizon, delta, c)
-        return bool(_final_milestones(feasible, horizon, delta, c))
+        return _feasible_milestones(comp, _deadlines(horizon, delta, c))[0] > 0
 
-    steps = int(round(grid_max / grid_step))
-    if not passes(grid_max):
+    steps = math.floor(grid_max / grid_step + 1e-9)  # the grid is k * grid_step, k = 0..steps
+    if not passes(steps * grid_step):
         if not is_strongly_connected(union(trace)):
             raise ValueError("joint connectivity never completes within the trace")
         raise ValueError("no delta on the grid certifies this trace")
@@ -320,14 +354,15 @@ class ExtensibleBlockProcess(TopologyProcess):
         self.n = base.n
         self.base = base
         self.schedule = schedule_times(delta, c, horizon)
-        self._times = _times_and_next(self.schedule)
+        self._times = _times_and_next(self.schedule).tolist()
         self._pairs = tuple((j, i, w) for j, i, w in base.edges() if j < i)
 
     def graph_at(self, t: int) -> WeightedDigraph:
-        k = int(np.searchsorted(self._times, t, side="right")) - 1
-        if k < 0 or t > self._times[-1]:
+        """Graph at time t, for 1 <= t < the first milestone past the horizon."""
+        k = bisect.bisect_right(self._times, t) - 1
+        if k < 0 or t >= self._times[-1]:
             raise ValueError(f"time {t} outside the generated schedule")
-        start, end = int(self._times[k]), int(self._times[k + 1])
+        start, end = self._times[k], self._times[k + 1]
         return _dealt_graph(self.n, self._pairs, end - start, t - start, self.base.a_max)
 
 

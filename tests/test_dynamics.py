@@ -357,6 +357,75 @@ class TestExactSecondMoment:
             D.exact_second_moment(proc, gains, nm, [0.0, 1.0], 5)
 
 
+def dense_second_moment(process, gains, noise_cov, x1, horizon):
+    """The exact recursion as four matmuls per step, with the identity,
+    the Laplacian and J C J rebuilt every step: no step skipped."""
+    x1 = np.asarray(x1, dtype=float)
+    n = x1.size
+    J = np.eye(n) - np.ones((n, n)) / n
+    y = J @ x1
+    M = np.outer(y, y)
+    EV = np.empty(horizon + 1)
+    EV[0] = float(np.trace(M))
+    a_all = gains.values(np.arange(1, horizon + 1))
+    for t in range(1, horizon + 1):
+        g = process.graph_at(t)
+        a = a_all[t - 1]
+        A = np.eye(n) - a * G.laplacian(g)
+        M = A @ M @ A.T
+        M = J @ M @ J
+        C = (D.aggregate_noise_covariance(g, noise_cov) if isinstance(noise_cov, D.NoiseModel)
+             else np.asarray(noise_cov, dtype=float))
+        M += a * a * (J @ C @ J)
+        EV[t] = float(np.trace(M))
+    return EV
+
+
+class TestExactSecondMomentSkips:
+    """The per-graph cache and the skipped identity steps change no bit."""
+
+    GAINS = cl.GainSchedule("power", alpha=0.6, t_star=3.0, exponent=0.8)
+
+    @pytest.mark.parametrize("case", ["fixed", "periodic", "extensible", "empty"])
+    @pytest.mark.parametrize("noise", ["model", "constant", "zero"])
+    def test_matches_dense_recursion_bit_for_bit(self, case, noise):
+        n = 5
+        process = {
+            "fixed": lambda: T.FixedProcess(G.cycle_graph(n)),
+            "periodic": lambda: T.PeriodicProcess(T.cycle_edge_components(n)),
+            "extensible": lambda: T.ExtensibleBlockProcess(G.cycle_graph(n), 0.3, 2.0, 600),
+            "empty": lambda: T.FixedProcess(G.empty_graph(n)),
+        }[case]()
+        rng = np.random.default_rng(11)
+        B = rng.normal(size=(n, n))
+        noise_cov = {"model": D.make_noise("iid_gaussian", v=0.01),
+                     "constant": 0.02 * (B @ B.T),  # nonzero also on empty-graph steps
+                     "zero": np.zeros((n, n))}[noise]
+        x1 = rng.uniform(-1.0, 1.0, n)
+        _, EV = D.exact_second_moment(process, self.GAINS, noise_cov, x1, 500)
+        ref = dense_second_moment(process, self.GAINS, noise_cov, x1, 500)
+        np.testing.assert_array_equal(EV, ref)
+
+    def test_constant_noise_enters_on_empty_steps(self):
+        # every step of this trace is empty, so only the noise moves E V
+        process = T.FixedProcess(G.empty_graph(3))
+        gains = cl.GainSchedule("constant", alpha=0.5)
+        C = np.diag([1.0, 2.0, 3.0])
+        _, EV = D.exact_second_moment(process, gains, C, [0.0, 0.0, 0.0], 4)
+        step = 0.25 * np.trace((np.eye(3) - 1 / 3) @ C @ (np.eye(3) - 1 / 3))
+        np.testing.assert_allclose(EV, step * np.arange(5), rtol=1e-15)
+
+    def test_benchmark_trace_matches_dense_recursion(self):
+        # the (delta, c) = (0.3, 2) cycle process of the exact_certify
+        # workload, three quarters of whose steps are empty graphs
+        gains = D.design_gain_schedule(5, 2.0, 1.0, 0.3)
+        process = T.ExtensibleBlockProcess(G.cycle_graph(5), 0.3, 2.0, 3000)
+        nm = D.make_noise("iid_gaussian", v=0.01)
+        x1 = np.linspace(0.0, 1.0, 5)
+        _, EV = D.exact_second_moment(process, gains, nm, x1, 3000)
+        np.testing.assert_array_equal(EV, dense_second_moment(process, gains, nm, x1, 3000))
+
+
 class TestAdversarialExactMoments:
     def test_matches_dense_recursion(self):
         gains = D.design_gain_schedule(4, 1, 1.0, 0.3)

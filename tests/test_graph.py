@@ -184,6 +184,27 @@ class TestStrongConnectivity:
         assert G.is_strongly_connected(g.weights != 0)
 
 
+class TestStackedStrongConnectivity:
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 9])
+    def test_stack_matches_per_matrix(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.random((4, 30, n, n)) < rng.uniform(0.05, 0.6, (4, 30, 1, 1))
+        counts = stack * rng.integers(1, 4, stack.shape)  # a union's edge counts
+        got = G.is_strongly_connected(counts)
+        assert got.shape == (4, 30) and got.dtype == bool
+        expect = [[G.is_strongly_connected(m) for m in row] for row in counts]
+        np.testing.assert_array_equal(got, expect)
+        assert got.any() and not got.all()
+
+    def test_one_matrix_gives_python_bool(self):
+        assert type(G.is_strongly_connected(G.cycle_graph(4))) is bool
+        assert type(G.is_strongly_connected(np.ones((3, 3)))) is bool
+        assert type(G.is_strongly_connected(G.pair_graph(3).weights)) is bool
+
+    def test_empty_stack(self):
+        assert G.is_strongly_connected(np.zeros((0, 4, 4))).shape == (0,)
+
+
 class TestUnion:
     def test_cycle_of_pieces_connected(self):
         gs = [G.pair_graph(3),

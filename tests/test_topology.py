@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import consensuslab as cl
 from consensuslab import graph as G
@@ -100,7 +103,169 @@ class TestVerifyJointConnectivity:
             assert holds
 
 
+def scipy_strongly_connected(adj) -> bool:
+    """Oracle independent of the library's closure."""
+    return connected_components(np.asarray(adj) != 0, connection="strong")[0] == 1
+
+
+def brute_completions(trace) -> np.ndarray:
+    """comp[s] by a per-s scan: grow the union over [s, e) one graph at a
+    time until it is strongly connected; horizon + 2 if it never is."""
+    horizon, n = len(trace), trace[0].n
+    comp = np.full(horizon + 2, horizon + 2, dtype=np.int64)
+    for s in range(1, horizon + 1):
+        seen = np.zeros((n, n), dtype=bool)
+        for e in range(s + 1, horizon + 2):
+            seen |= trace[e - 2].weights != 0
+            # every node sending and receiving is necessary; check only then
+            if seen.any(0).all() and seen.any(1).all() and scipy_strongly_connected(seen):
+                comp[s] = e
+                break
+    return comp
+
+
+def scan_certify(trace, delta, c):
+    """(holds, witness times) from a prefix-maximum scan over every
+    candidate milestone and a list of every censored final milestone."""
+    horizon = len(trace)
+    comp = brute_completions(trace)
+    dl = lambda s: s + c * float(s) ** delta
+    feasible = np.zeros(horizon + 2, dtype=bool)
+    parent = np.zeros(horizon + 2, dtype=np.int64)
+    feasible[1] = True
+    p, best_dl, best_s = 0, -np.inf, 0
+    for t in range(2, horizon + 2):
+        while p + 1 <= horizon + 1 and comp[p + 1] <= t:
+            p += 1
+            if feasible[p] and dl(p) > best_dl:
+                best_dl, best_s = dl(p), p
+        if best_s and best_dl >= t - 1e-9:
+            feasible[t] = True
+            parent[t] = best_s
+    ok = [s for s in range(1, horizon + 2) if feasible[s] and dl(s) > horizon + 1e-9]
+    if not ok:
+        return False, None
+    chain = [max(ok)]
+    while chain[-1] != 1:
+        chain.append(int(parent[chain[-1]]))
+    return True, chain[::-1]
+
+
+def random_trace(rng, n, horizon, density, empty_frac=0.0):
+    trace = []
+    for _ in range(horizon):
+        adj = (rng.random((n, n)) < density) & (rng.random() >= empty_frac)
+        np.fill_diagonal(adj, False)
+        trace.append(G.WeightedDigraph(n, adj.astype(float), 1.0))
+    return trace
+
+
+class TestEarliestCompletions:
+    @pytest.mark.parametrize("chunk", [7, T._WINDOW_CHUNK])
+    def test_random_directed_traces_match_brute_force(self, monkeypatch, chunk):
+        monkeypatch.setattr(T, "_WINDOW_CHUNK", chunk)
+        rng = np.random.default_rng(17)
+        for case in range(150):
+            n = int(rng.integers(2, 7))
+            horizon = int(rng.integers(1, 61))
+            trace = random_trace(rng, n, horizon, rng.uniform(0.02, 0.3), rng.uniform(0, 0.7))
+            np.testing.assert_array_equal(T._earliest_completions(trace), brute_completions(trace),
+                                          err_msg=f"case {case}")
+
+    def test_traces_that_never_connect(self):
+        # node 3 never receives: no window is ever connected
+        g = G.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 0, 1.0)])
+        for trace in ([G.empty_graph(4)] * 7, [g, G.empty_graph(4)] * 9, [g]):
+            comp = T._earliest_completions(trace)
+            np.testing.assert_array_equal(comp, np.full(len(trace) + 2, len(trace) + 2))
+            np.testing.assert_array_equal(comp, brute_completions(trace))
+
+    def test_benchmark_prefix_matches_brute_force(self):
+        # the first 6000 steps of the (delta, c) = (0.3, 2) cycle process,
+        # the prefix the exact_certify workload certifies
+        trace = T.ExtensibleBlockProcess(G.cycle_graph(5), 0.3, 2.0, 12000).trace(6000)
+        np.testing.assert_array_equal(T._earliest_completions(trace), brute_completions(trace))
+
+    def test_connectivity_checked_once_per_round(self, monkeypatch):
+        # all windows of a round (fewer than _WINDOW_CHUNK here) are checked
+        # in one stacked call through the module global
+        trace = T.ExtensibleBlockProcess(G.cycle_graph(5), 0.3, 2.0, 1000).trace(1000)
+        calls = []
+        check = T.is_strongly_connected
+        monkeypatch.setattr(T, "is_strongly_connected", lambda a: calls.append(a.shape) or check(a))
+        T._earliest_completions(trace)
+        assert 1 < len(calls) <= 2 + math.ceil(math.log2(1000))
+        assert all(len(shape) == 3 for shape in calls)
+
+
+class TestCertifyMatchesScan:
+    def test_random_traces(self):
+        rng = np.random.default_rng(23)
+        for case in range(120):
+            n = int(rng.integers(2, 6))
+            horizon = int(rng.integers(1, 61))
+            trace = random_trace(rng, n, horizon, rng.uniform(0.1, 0.6), rng.uniform(0, 0.8))
+            delta, c = float(rng.uniform(0, 1.2)), float(rng.uniform(1, 3))
+            holds, witness = T.verify_joint_connectivity(trace, delta, c)
+            ref_holds, ref_chain = scan_certify(trace, delta, c)
+            assert holds == ref_holds, f"case {case}"
+            if holds:
+                assert witness.times.tolist() == ref_chain, f"case {case}"
+
+    def test_extensible_block_witness(self):
+        trace = T.ExtensibleBlockProcess(G.cycle_graph(4), 0.4, 2.0, 400).trace(400)
+        holds, witness = T.verify_joint_connectivity(trace, 0.4, 2.0)
+        assert holds and witness.times.tolist() == scan_certify(trace, 0.4, 2.0)[1]
+
+
+class TestCertifyRejectsBadInput:
+    TRACE = T.PeriodicProcess(T.cycle_edge_components(3)).trace(30)
+
+    @pytest.mark.parametrize("delta, c, bad", [(-0.1, 2.0, "delta = -0.1"),
+                                               (math.nan, 2.0, "delta = nan"),
+                                               (0.3, 0.5, "c = 0.5"),
+                                               (0.3, math.nan, "c = nan")])
+    def test_verify_bound(self, delta, c, bad):
+        with pytest.raises(ValueError, match=f"need delta >= 0 and c >= 1, got {bad}"):
+            T.verify_joint_connectivity(self.TRACE, delta, c)
+
+    def test_minimal_delta_c_below_one(self):
+        with pytest.raises(ValueError, match="c >= 1, got c = 0.5"):
+            T.minimal_delta(self.TRACE, 0.5)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+    def test_minimal_delta_grid_step(self, step):
+        with pytest.raises(ValueError, match="grid_step"):
+            T.minimal_delta(self.TRACE, 3.0, grid_step=step)
+
+    @pytest.mark.parametrize("top", [-1.0, math.nan, math.inf])
+    def test_minimal_delta_grid_max(self, top):
+        with pytest.raises(ValueError, match="grid_max"):
+            T.minimal_delta(self.TRACE, 3.0, grid_max=top)
+
+    def test_mixed_node_counts(self):
+        trace = [G.complete_graph(3), G.complete_graph(4)]
+        with pytest.raises(ValueError, match="node count"):
+            T.verify_joint_connectivity(trace, 0.3, 2.0)
+        with pytest.raises(ValueError, match="node count"):
+            T.minimal_delta(trace, 2.0)
+
+    def test_schedule_rejects_nan(self):
+        with pytest.raises(ValueError, match="delta = nan"):
+            T.schedule_times(math.nan, 2.0, 10)
+        with pytest.raises(ValueError, match="c = nan"):
+            cl.ConnectivitySchedule(0.3, math.nan, np.array([1, 2]))
+
+
 class TestExtensibleBlockProcess:
+    def test_last_milestone_is_outside_the_schedule(self):
+        proc = T.ExtensibleBlockProcess(G.cycle_graph(5), 0.3, 2.0, 100)
+        assert proc.schedule.times[-1] <= 100 < 105 == proc._times[-1]
+        proc.graph_at(104)
+        for t in (0, 105, 106):
+            with pytest.raises(ValueError, match=f"time {t} outside the generated schedule"):
+                proc.graph_at(t)
+
     def test_window_slots_deal_pairs_round_robin(self):
         # slot s of a width-w window holds base pairs s, s + w, ... (sorted
         # sender < receiver), in both directions; every window unions to the base
@@ -143,6 +308,17 @@ class TestMinimalDelta:
     def test_never_connected_errors(self):
         with pytest.raises(ValueError):
             T.minimal_delta([G.empty_graph(3)] * 50, 1.0)
+
+    def test_grid_max_between_grid_points(self):
+        # the grid is {0, 0.15}: 0.22 certifies but is no grid point, and
+        # 0.15 does not certify
+        trace = T.ExtensibleBlockProcess(G.cycle_graph(4), 0.2, 2.0, 3000).trace(3000)
+        assert T.verify_joint_connectivity(trace, 0.22, 2.0)[0]
+        assert not T.verify_joint_connectivity(trace, 0.15, 2.0)[0]
+        with pytest.raises(ValueError, match="no delta on the grid"):
+            T.minimal_delta(trace, 2.0, grid_step=0.15, grid_max=0.22)
+        assert T.minimal_delta(trace, 2.0, grid_step=0.15, grid_max=0.3) == 0.3
+        assert T.minimal_delta(trace, 2.0, grid_step=0.1, grid_max=0.3) == 0.2
 
     def test_agrees_with_verify(self):
         rng = np.random.default_rng(5)
