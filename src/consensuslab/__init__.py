@@ -46,6 +46,7 @@ from .manet import (
     ManetScene,
     RadioParams,
     distance_budget,
+    exact_disagreement,
     fspl,
     reception_probability,
     run_manet,

@@ -13,10 +13,21 @@ states update by
 with quantization noise xi per sender and reception noise zeta per
 ordered pair.  Relative speeds are held at their round-start value
 within a round so positions integrate exactly.
+
+A round draws what the update needs, not every reception.  Only the
+mutual-reception graph enters the update, and its pairs {i, j} are
+independent Bernoulli(q_ij), q_ij = p_ij p_ji, because the directed
+receptions are; so one uniform per unordered pair gives the same graph
+law.  Given the graph, sum_j zeta_ij over i's neighbours is N(0,
+zeta_std^2 deg_i), independent across receivers; so one standard normal
+per receiver, scaled by zeta_std sqrt(deg_i), gives the same state law.
+`exact_disagreement` is the exact annealed E V of this protocol, the
+oracle the Monte Carlo engines are checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -127,6 +138,14 @@ class ManetScene:
         if self.radio.alpha.size not in (1, p.shape[0]):
             raise ValueError(f"radio.alpha has {self.radio.alpha.size} entries; "
                              f"need 1 or n = {p.shape[0]}")
+        for name in ("xi_half_width", "zeta_std"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        for name in ("period", "speed_t0"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         for name, arr in (("positions0", p), ("headings", h), ("initial_states", x)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -201,27 +220,56 @@ def _reception_rows(scene: ManetScene, rounds: int):
         yield from _round_probabilities(scene, start, min(start + _ROUND_CHUNK, rounds), disps)
 
 
+def _check_rounds(rounds: int) -> None:
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The unordered pairs i < j of n nodes in `np.triu_indices(n, 1)` order:
+    (iu, ju, E1, E2, E), E1 and E2 the (n, m) 0/1 incidence of each pair's
+    first and second node and E = (E1 + E2)'.  Cached per n, read-only."""
+    iu, ju = np.triu_indices(n, 1)
+    E1 = np.zeros((n, iu.size))
+    E2 = np.zeros((n, iu.size))
+    E1[iu, np.arange(iu.size)] = 1.0
+    E2[ju, np.arange(iu.size)] = 1.0
+    out = (iu, ju, E1, E2, (E1 + E2).T.copy())
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _round_update(scene: ManetScene, X: np.ndarray, a_l: float, gen: np.random.Generator,
                   probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One broadcast period for a (runs, n) block of states: mutual
     receptions form each run's graph.
 
     probs is the round's (n, n) reception table (`_reception_rows`).
-    Draw order from gen: reception uniforms (runs, n, n), quantization
-    noise xi (runs, n), reception noise zeta (runs, n, n).  Returns the new
-    states and recv, recv[r, i, j] being true when i hears j in run r.
+    Draw order from gen: pair uniforms (runs, m), m = n(n-1)/2, in
+    `np.triu_indices(n, 1)` order; quantization noise xi (runs, n);
+    standard normals z (runs, n).  Returns the new states and b, b[r, e]
+    being 1.0 when the pair e is a mutual reception in run r.
+
+    Pair e = {i, j} is mutual with probability p_ij p_ji, independently of
+    the other pairs, so comparing one uniform with that product draws the
+    graph `succ & succ'` of two directed draws in law.  The reception
+    noise enters only through sum_j b_ij zeta_ij, which given the graph
+    is N(0, zeta_std^2 deg_i) independently across receivers, so
+    zeta_std sqrt(deg_i) z_i has its law.  The update runs on the pair
+    list: with Y = X + xi and deg = b E,
+    term = (b * Y E2) E1' + (b * Y E1) E2' + zeta_std sqrt(deg) z - deg X.
     """
     runs, n = X.shape
-    succ = gen.random((runs, n, n)) < probs    # succ[r, i, j]: j receives i
-    adj = succ & np.swapaxes(succ, 1, 2)       # mutual reception
-    idx = np.arange(n)
-    adj[:, idx, idx] = False
-    xi = gen.uniform(-scene.xi_half_width, scene.xi_half_width, (runs, n))
-    zeta = gen.normal(0.0, scene.zeta_std, (runs, n, n))
-    recv = np.swapaxes(adj, 1, 2)
-    term = (np.einsum("sij,sj->si", recv.astype(float), X + xi)
-            + (recv * zeta).sum(axis=2) - recv.sum(axis=2) * X)
-    return X + a_l * term, recv
+    iu, ju, E1, E2, E = _pairs(n)
+    b = (gen.random((runs, iu.size)) < probs[iu, ju] * probs[ju, iu]).astype(float)
+    Y = X + gen.uniform(-scene.xi_half_width, scene.xi_half_width, (runs, n))
+    z = gen.standard_normal((runs, n))
+    deg = b @ E
+    term = ((b * (Y @ E2)) @ E1.T + (b * (Y @ E1)) @ E2.T
+            + scene.zeta_std * np.sqrt(deg) * z - deg * X)
+    return X + a_l * term, b
 
 
 def simulate_round(scene: ManetScene, l: int, states: Sequence[float], a_l: float,
@@ -230,13 +278,18 @@ def simulate_round(scene: ManetScene, l: int, states: Sequence[float], a_l: floa
     """Round l of a single run, drawn from the (round, run 0) substream;
     returns the new states and the round's graph of mutual receptions."""
     x = np.asarray(states, dtype=float)
-    X, recv = _round_update(scene, x[None, :], a_l, stream.at(TAG_MANET_ROUND, 0, l), probs)
-    return X[0], WeightedDigraph(scene.n, recv[0].astype(float), 1.0)
+    X, b = _round_update(scene, x[None, :], a_l, stream.at(TAG_MANET_ROUND, 0, l), probs)
+    iu, ju = _pairs(scene.n)[:2]
+    w = np.zeros((scene.n, scene.n))
+    w[iu, ju] = b[0]
+    w[ju, iu] = b[0]
+    return X[0], WeightedDigraph(scene.n, w, 1.0)
 
 
 def run_manet(scene: ManetScene, gains: GainSchedule, rounds: int, seed: int) -> SimulationTrace:
     """Iterate rounds l = 0 .. rounds-1; round l applies gain a(l+1) of the
     schedule (round indexing starts at zero, gain tables at one)."""
+    _check_rounds(rounds)
     stream = StreamPool(seed)
     a_all = gains.values(np.arange(1, rounds + 2))
 
@@ -256,9 +309,10 @@ def run_manet_batch(scene: ManetScene, gains: GainSchedule, rounds: int,
 
     All replicas share the deterministic motion, so reception
     probabilities are computed once for all of them, a chunk of rounds at
-    a time; per-replica draws ride the leading axis of the (runs, n, n)
-    round substream draws.
+    a time; per-replica draws ride the leading axis of the round
+    substream's draws.
     """
+    _check_rounds(rounds)
     if runs < 2:
         raise ValueError("need at least 2 runs")
     stream = StreamPool(seed)
@@ -272,6 +326,47 @@ def run_manet_batch(scene: ManetScene, gains: GainSchedule, rounds: int,
             yield Y.T
 
     return _summarize(np.arange(rounds + 1), X.T, blocks())
+
+
+def exact_disagreement(scene: ManetScene, gains: GainSchedule, rounds: int) -> np.ndarray:
+    """Exact E V at rounds 0 .. rounds, averaged over receptions and noise,
+    with the gains of `run_manet_batch`.
+
+    Pairs e = {i, j} are mutual with probability q_e = p_ij p_ji,
+    independently; Q = P o P' and Lbar = diag(Q 1) - Q is the mean
+    Laplacian.  With u_e = e_i - e_j, var_xi = xi_half_width^2 / 3 and the
+    uncentered second moment S = E x x' (the noise moves the average),
+    round l applies
+
+        S <- S - a (Lbar S + S Lbar) + a^2 [Lbar S Lbar
+             + sum_e q_e (1 - q_e) (u_e' S u_e) u_e u_e'
+             + var_xi (Q^2 + diag sum_j q_ij (1 - q_ij)) + zeta_std^2 diag(Q 1)],
+
+    the terms being E L S L and the mean covariance of the aggregate
+    noise; E V = tr(J S J) = tr S - 1' S 1 / n.
+    """
+    _check_rounds(rounds)
+    n = scene.n
+    a_all = gains.values(np.arange(1, rounds + 1))
+    var_xi = scene.xi_half_width ** 2 / 3.0
+    S = np.outer(scene.initial_states, scene.initial_states)
+    EV = np.empty(rounds + 1)
+    EV[0] = np.trace(S) - S.sum() / n
+    for l, probs in enumerate(_reception_rows(scene, rounds)):
+        a = a_all[l]
+        Q = probs * probs.T
+        W = Q * (1.0 - Q)
+        deg = Q.sum(axis=1)
+        Lbar = np.diag(deg) - Q
+        d = np.diag(S)
+        C = W * (d[:, None] + d[None, :] - 2.0 * S)  # q_e (1 - q_e) u_e' S u_e
+        LS = Lbar @ S
+        S = S - a * (LS + LS.T) + a * a * (
+            LS @ Lbar + np.diag(C.sum(axis=1)) - C
+            + var_xi * (Q @ Q + np.diag(W.sum(axis=1)))
+            + scene.zeta_std ** 2 * np.diag(deg))
+        EV[l + 1] = np.trace(S) - S.sum() / n
+    return EV
 
 
 def scenario_preset(figure: str) -> tuple[ManetScene, GainSchedule]:

@@ -23,9 +23,10 @@ unless set):
   (TAG_TOPOLOGY_BLOCK, block) under the process's own seed, one uniform
   for connectivity, then a permutation of n when the block connects.
 - MANET rounds, `manet`: path (TAG_MANET_ROUND, 0, l) for a single run
-  and (TAG_MANET_ROUND, 1, l) for a batch of R runs; reception uniforms
-  (R, n, n), quantization noise (R, n), reception noise (R, n, n), in
-  that order.
+  and (TAG_MANET_ROUND, 1, l) for a batch of R runs (R = 1 for the
+  single run); one uniform per unordered node pair (R, n(n-1)/2), in
+  `np.triu_indices(n, 1)` order, quantization noise (R, n), then
+  standard normals (R, n), one per receiver, in that order.
 - random-block Monte Carlo gives replica r its own process and noise
   seeds, derived by `SeedSequence(seed, spawn_key=(TAG_REPLICA, r))`.
   Replica r draws exactly what a single run with those seeds draws; the

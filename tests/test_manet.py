@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -170,25 +171,67 @@ class TestSimulateRound:
 
 
 def _reference_round(scene, l, x, a_l, stream, probs):
-    """One round of a single run as an (n, n) matrix product: the reference
-    for the batched round kernel.  Returns the new states and recv."""
+    """One round of a single run, one unordered pair i < j at a time, in the
+    kernel's draw order: the reference for the pair-list kernel.  Returns
+    the new states and recv, the (n, n) mutual-reception matrix."""
     n = scene.n
     gen = stream.at(TAG_MANET_ROUND, 0, l)
-    succ = gen.random((n, n)) < probs          # succ[i, j]: j receives i
-    adj = succ & succ.T
-    np.fill_diagonal(adj, False)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    u = gen.random(len(pairs))
     xi = gen.uniform(-scene.xi_half_width, scene.xi_half_width, n)
-    zeta = gen.normal(0.0, scene.zeta_std, (n, n))
-    recv = adj.T  # recv[i, j]: i hears j
-    term = recv @ (x + xi) + (recv * zeta).sum(axis=1) - recv.sum(axis=1) * x
+    z = gen.standard_normal(n)
+    recv = np.zeros((n, n), dtype=bool)
+    heard = np.zeros(n)
+    deg = np.zeros(n)
+    for e, (i, j) in enumerate(pairs):
+        if u[e] < probs[i, j] * probs[j, i]:
+            recv[i, j] = recv[j, i] = True
+            heard[i] += x[j] + xi[j]
+            heard[j] += x[i] + xi[i]
+            deg[i] += 1
+            deg[j] += 1
+    term = heard + scene.zeta_std * np.sqrt(deg) * z - deg * x
     return x + a_l * term, recv
+
+
+def _ordered_pair_round(scene, X, a_l, gen, probs):
+    """The ordered-pair round kernel: one reception uniform (runs, n, n)
+    and one reception noise value (runs, n, n) per ordered pair, after the
+    quantization noise (runs, n).  Equal in law to `manet._round_update`;
+    kept to check the exact oracle against a second draw layout."""
+    runs, n = X.shape
+    succ = gen.random((runs, n, n)) < probs    # succ[r, i, j]: j receives i
+    adj = succ & np.swapaxes(succ, 1, 2)       # mutual reception
+    idx = np.arange(n)
+    adj[:, idx, idx] = False
+    xi = gen.uniform(-scene.xi_half_width, scene.xi_half_width, (runs, n))
+    zeta = gen.normal(0.0, scene.zeta_std, (runs, n, n))
+    recv = np.swapaxes(adj, 1, 2)
+    term = (np.einsum("sij,sj->si", recv.astype(float), X + xi)
+            + (recv * zeta).sum(axis=2) - recv.sum(axis=2) * X)
+    return X + a_l * term, recv
+
+
+def _ordered_pair_batch(scene, gains, rounds, runs, seed):
+    """`run_manet_batch` with `_ordered_pair_round` as its kernel."""
+    stream = StreamPool(seed)
+    a_all = gains.values(np.arange(1, rounds + 1))
+    X = np.tile(scene.initial_states, (runs, 1))
+
+    def blocks():
+        Y = X
+        for l, probs in enumerate(M._reception_rows(scene, rounds)):
+            Y, _ = _ordered_pair_round(scene, Y, a_all[l], stream.at(TAG_MANET_ROUND, 1, l), probs)
+            yield Y.T
+
+    return D._summarize(np.arange(rounds + 1), X.T, blocks())
 
 
 class TestRunManet:
     @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4"])
     def test_matches_single_run_reference(self, fig):
         # same graphs every round; states agree up to the rounding of the
-        # matrix product against the batched einsum
+        # per-pair sums against the kernel's incidence products
         scene, gains = M.scenario_preset(fig)
         rounds, seed = 2000, 20240707
         trace = M.run_manet(scene, gains, rounds, seed)
@@ -268,6 +311,98 @@ class TestRunManetBatch:
         for runs in (0, 1):
             with pytest.raises(ValueError, match="2 runs"):
                 M.run_manet_batch(scene, gains, 10, runs, seed=0)
+
+
+def _geometric_rounds(rounds, points=40):
+    return np.unique(np.geomspace(1, rounds, points).astype(int))
+
+
+class TestManetExactOracle:
+    SEED = 20240707  # c7's seed
+
+    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4"])
+    def test_c7_scene_within_4_stderr(self, fig):
+        # c7's seed, runs and rounds
+        scene, gains = M.scenario_preset(fig)
+        rounds = 10_000
+        batch = M.run_manet_batch(scene, gains, rounds, 100, self.SEED)
+        ev = M.exact_disagreement(scene, gains, rounds)
+        assert ev.shape == batch.mean_V.shape and ev[0] == pytest.approx(batch.mean_V[0])
+        grid = _geometric_rounds(rounds)
+        dev = np.abs(batch.mean_V[grid] - ev[grid])
+        assert np.all(dev <= 4 * batch.stderr_V[grid]), (dev / batch.stderr_V[grid]).max()
+
+    def test_ordered_pair_layout_within_4_stderr(self):
+        # the oracle agrees with the per-ordered-pair draws as well
+        scene, gains = M.scenario_preset("fig2")
+        rounds = 2000
+        batch = _ordered_pair_batch(scene, gains, rounds, 200, self.SEED)
+        ev = M.exact_disagreement(scene, gains, rounds)
+        grid = _geometric_rounds(rounds)
+        dev = np.abs(batch.mean_V[grid] - ev[grid])
+        assert np.all(dev <= 4 * batch.stderr_V[grid]), (dev / batch.stderr_V[grid]).max()
+
+    def test_static_ring_within_4_stderr(self):
+        # ring neighbours are mutual with q near 0.59, so the Bernoulli
+        # variance of each pair and the xi correlation of receivers that
+        # share a neighbour (Q^2) both move E V well past 4 stderr
+        scene = _static_scene(5, 1.5, zeta_std=0.05, xi_half=0.25)
+        P = _first_round_probabilities(scene)
+        assert 0.3 < P[0, 1] * P[1, 0] < 0.9
+        gains = cl.GainSchedule("power", alpha=1.0, t_star=4.0, exponent=0.9)
+        rounds = 60
+        batch = M.run_manet_batch(scene, gains, rounds, 4000, seed=21)
+        ev = M.exact_disagreement(scene, gains, rounds)
+        dev = np.abs(batch.mean_V[1:] - ev[1:])
+        assert np.all(dev <= 4 * batch.stderr_V[1:]), (dev / batch.stderr_V[1:]).max()
+
+    def test_colocated_noiseless_is_deterministic(self):
+        # every pair is mutual with probability 1 and nothing is random:
+        # L is the complete graph's n I - 1 1', so J x shrinks by 1 - n a
+        n, rounds = 5, 300
+        scene = _static_scene(n, 0.0, zeta_std=0.0, xi_half=0.0)
+        gains = cl.GainSchedule("power", alpha=0.5, t_star=4.0, exponent=0.8)
+        ev = M.exact_disagreement(scene, gains, rounds)
+        a_all = gains.values(np.arange(1, rounds + 1))
+        L = n * np.eye(n) - np.ones((n, n))
+        x = scene.initial_states
+        V = [float(np.sum((x - x.mean()) ** 2))]
+        for a in a_all:
+            x = x - a * (L @ x)
+            V.append(float(np.sum((x - x.mean()) ** 2)))
+        np.testing.assert_allclose(ev, V, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ev, V[0] * np.cumprod(np.r_[1.0, (1 - n * a_all) ** 2]),
+                                   rtol=0, atol=1e-12)
+        trace = M.run_manet(scene, gains, rounds, seed=3)
+        np.testing.assert_allclose(trace.disagreement, V, rtol=0, atol=1e-12)
+
+    def test_zero_rounds(self):
+        scene, gains = M.scenario_preset("fig3")
+        ev = M.exact_disagreement(scene, gains, 0)
+        assert ev.shape == (1,)
+        assert ev[0] == pytest.approx(np.sum((scene.initial_states - 0.5) ** 2))
+
+
+class TestManetRejectsBadInput:
+    @pytest.mark.parametrize("field, value", [
+        ("zeta_std", -0.05), ("zeta_std", math.nan), ("zeta_std", math.inf),
+        ("xi_half_width", -1 / 16), ("xi_half_width", math.nan), ("xi_half_width", math.inf),
+        ("period", 0.0), ("period", -1.0), ("speed_t0", 0.0), ("speed_t0", -1.0),
+    ])
+    def test_scene_field(self, field, value):
+        scene, _ = M.scenario_preset("fig2")
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(scene, **{field: value})
+
+    @pytest.mark.parametrize("engine", [
+        lambda scene, gains: M.run_manet(scene, gains, -3, seed=0),
+        lambda scene, gains: M.run_manet_batch(scene, gains, -3, 4, seed=0),
+        lambda scene, gains: M.exact_disagreement(scene, gains, -3),
+    ], ids=["run_manet", "run_manet_batch", "exact_disagreement"])
+    def test_negative_rounds(self, engine):
+        scene, gains = M.scenario_preset("fig2")
+        with pytest.raises(ValueError, match="rounds"):
+            engine(scene, gains)
 
 
 class TestManetScene:
