@@ -24,6 +24,7 @@ from .dynamics import (
     exact_second_moment,
     make_noise,
     monte_carlo_V,
+    random_block_exact_moments,
     run,
     step,
 )
@@ -45,9 +46,7 @@ from .graph import (
 from .manet import (
     ManetScene,
     RadioParams,
-    distance_budget,
     exact_disagreement,
-    fspl,
     reception_probability,
     run_manet,
     run_manet_batch,

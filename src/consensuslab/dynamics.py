@@ -18,23 +18,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .graph import WeightedDigraph, _cached_laplacian
-from .rng import (
-    TAG_EDGE_NOISE,
-    TAG_INNOVATION,
-    TAG_REPLICA,
-    StreamPool,
-    philox_key,
-    uniform_lanes,
-)
-from .topology import AdversarialProcess, TopologyProcess
+from .rng import TAG_EDGE_NOISE, TAG_INNOVATION, TAG_REPLICA, StreamPool
+from .topology import AdversarialProcess, RandomBlockProcess, TopologyProcess, _cycle_slot_graphs
 
 GAIN_KINDS = ("constant", "power", "log_corrected", "table")
 NOISE_KINDS = ("zero", "iid_gaussian", "iid_uniform", "m_dependent_ma", "martingale_difference")
-# Philox blocks per `uniform_lanes` call in one-key-per-replica sampling.
-# numpy pays a few us per ufunc call, so the kernel needs wide arrays; on
-# mc_random 4096 ran as fast as 8192 and kept peak memory at the per-replica
-# draws' level
-_LANE_BLOCKS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +50,9 @@ class GainSchedule:
     def __post_init__(self):
         if self.kind not in GAIN_KINDS:
             raise ValueError(f"unknown gain kind {self.kind!r}")
+        for name in ("alpha", "t_star", "shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name} = {getattr(self, name)}")
         if self.alpha < 0 or self.t_star < 0:
             raise ValueError("alpha and t_star must be nonnegative")
         if self.kind == "power" and not (0 < self.exponent <= 1):
@@ -149,6 +140,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not math.isfinite(self.v):
+            raise ValueError(f"noise variance v must be finite, got v = {self.v}")
         if self.kind != "zero" and self.v <= 0:
             raise ValueError("noise variance bound v must be positive")
         if self.kind == "m_dependent_ma":
@@ -201,44 +194,25 @@ def make_noise(kind: str, v: float = 0.0, theta: Sequence[float] | None = None,
 
 
 class EdgeNoiseSampler:
-    """Deterministic noise access for one (seed, replica) pair.
+    """Deterministic noise access for one seed.
 
     The full (n, n) matrix of ordered-pair noises at time t is addressed
-    by the counter path (TAG_EDGE_NOISE, replica, t); batched variants
-    append the replica axis to the same draw so Monte Carlo columns stay
+    by the counter path (TAG_EDGE_NOISE, 0, t); batched variants append
+    the replica axis to the same draw so Monte Carlo columns stay
     independent.  The one exception is the batched i.i.d. Gaussian
     aggregate, which draws the (n, replicas) aggregates themselves from
     that path (see `aggregate_batch`).
-
-    One-key-per-replica mode: given a list of seeds, one per replica,
-    the sampler stands for that many single-run samplers advanced
-    together over steps 1..horizon.  `aggregate_batch` then takes the
-    replicas' stacked weight matrices and returns, in row r, the bytes
-    `aggregate` gives on a sampler seeded with seed r.  I.i.d. uniform
-    noise is evaluated for every replica at once by `rng.uniform_lanes`,
-    about _LANE_BLOCKS Philox blocks (a chunk of steps) per call; every
-    other kind draws per replica from that replica's own `StreamPool`.
     """
 
-    def __init__(self, model: NoiseModel, n: int, seed_or_key, replica: int = 0,
-                 horizon: int = 0):
+    def __init__(self, model: NoiseModel, n: int, seed: int):
         self.model = model
         self.n = n
-        self.replica = replica
+        self.pool = StreamPool(seed)
         self._innov_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._lanes: list[EdgeNoiseSampler] = []
-        if not isinstance(seed_or_key, list):
-            self.pool = StreamPool(seed_or_key)
-        elif model.kind == "iid_uniform":
-            self._keys = np.array([philox_key(s) for s in seed_or_key])
-            self._horizon = horizon
-            self._chunk = (0, np.empty((0, len(seed_or_key), n, n)))  # first step, draws
-        elif model.kind != "zero":
-            self._lanes = [EdgeNoiseSampler(model, n, s, replica) for s in seed_or_key]
 
     # -- raw draws ---------------------------------------------------------
     def _iid_matrix(self, t: int, extra: tuple[int, ...]) -> np.ndarray:
-        gen = self.pool.at(TAG_EDGE_NOISE, self.replica, t)
+        gen = self.pool.at(TAG_EDGE_NOISE, 0, t)
         shape = (self.n, self.n) + extra
         if self.model.kind == "iid_gaussian":
             return gen.standard_normal(shape) * math.sqrt(self.model.v)
@@ -250,7 +224,7 @@ class EdgeNoiseSampler:
         hit = self._innov_cache.get(key)
         if hit is not None and hit.shape == (self.n, self.n) + extra:
             return hit
-        gen = self.pool.at(TAG_INNOVATION, self.replica, s)
+        gen = self.pool.at(TAG_INNOVATION, 0, s)
         arr = gen.standard_normal((self.n, self.n) + extra)
         self._innov_cache[key] = arr
         if len(self._innov_cache) > 4 * (self.model.memory + 2):
@@ -284,47 +258,33 @@ class EdgeNoiseSampler:
         W = self.edge_matrix(t)
         return (g.weights * W).sum(axis=1)
 
-    def _lane_edges(self, t: int) -> np.ndarray:
-        """(replicas, n, n) edge draws of step t in one-key-per-replica mode."""
-        if self._lanes:
-            return np.stack([lane.edge_matrix(t) for lane in self._lanes])
-        t0, chunk = self._chunk
-        if not t0 <= t < t0 + len(chunk):
-            per_step = len(self._keys) * -(-self.n * self.n // 4)
-            steps = max(1, min(_LANE_BLOCKS // per_step, self._horizon - t + 1))
-            h = math.sqrt(3.0 * self.model.v)
-            paths = [(TAG_EDGE_NOISE, self.replica, s) for s in range(t, t + steps)]
-            chunk = uniform_lanes(self._keys, paths, self.n * self.n, -h, h)
-            t0, chunk = t, chunk.reshape(steps, len(self._keys), self.n, self.n)
-            self._chunk = (t0, chunk)
-        return chunk[t - t0]
-
     def aggregate_batch(self, g, t: int, replicas: int) -> np.ndarray:
-        """(n, replicas) aggregate noise; replicas ride the trailing axis.
+        """Aggregate noise of step t for `replicas` replicas.
 
-        For i.i.d. Gaussian noise w_hat_i = sum_j a_ij w_ij is exactly
-        N(0, v sum_j a_ij^2), independent across receivers, so it is drawn
-        directly: (n, replicas) standard normals from the counter path
-        (TAG_EDGE_NOISE, replica, t), row i scaled by its standard
+        `g` is one graph that every replica shares, and the result is
+        (n, replicas), replicas on the trailing axis; or the (replicas, n,
+        n) stack of each replica's weight matrix, and the result is
+        (replicas, n).  For i.i.d. Gaussian noise w_hat_i = sum_j a_ij w_ij
+        is exactly N(0, v sum_j a_ij^2), independent across receivers, so
+        it is drawn directly: (n, replicas) standard normals from the
+        counter path (TAG_EDGE_NOISE, 0, t), each scaled by its standard
         deviation.  That has the distribution of the per-edge sum but not
-        its bytes.  Every other kind sums the (n, n, replicas) edge draw.
-
-        In one-key-per-replica mode `g` is the (replicas, n, n) stack of
-        the replicas' weight matrices and the result is (replicas, n), row
-        r summing replica r's own (n, n) edge draw as `aggregate` does.
+        its bytes.  Every other kind sums the (n, n, replicas) edge draw
+        per replica.
         """
+        shared = isinstance(g, WeightedDigraph)
         if self.model.kind == "zero":
-            return np.zeros((self.n, replicas) if isinstance(g, WeightedDigraph)
-                            else (replicas, self.n))
-        if not isinstance(g, WeightedDigraph):
-            return (g * self._lane_edges(t)).sum(axis=-1)
+            return np.zeros((self.n, replicas) if shared else (replicas, self.n))
         if self.model.kind == "iid_gaussian":
-            gen = self.pool.at(TAG_EDGE_NOISE, self.replica, t)
-            Z = gen.standard_normal((self.n, replicas))
+            Z = self.pool.at(TAG_EDGE_NOISE, 0, t).standard_normal((self.n, replicas))
+            if not shared:
+                return Z.T * np.sqrt(self.model.v * (g * g).sum(axis=2))
             Z *= np.sqrt(self.model.v * _received_weight_sq(g))[:, None]
             return Z
         W = self.edge_matrix(t, (replicas,))
-        return np.einsum("ij,ijr->ir", g.weights, W)
+        if shared:
+            return np.einsum("ij,ijr->ir", g.weights, W)
+        return np.einsum("rij,ijr->ri", g, W)
 
 
 def _received_weight_sq(g: WeightedDigraph) -> np.ndarray:
@@ -482,13 +442,13 @@ def monte_carlo_V(process: TopologyProcess, gains: GainSchedule, noise: NoiseMod
                   seed: int) -> MonteCarloResult:
     """Replica mean and standard error of V(x(t)).
 
-    Deterministic processes share their topology and one noise sampler
-    across replicas and are advanced as one (n, replicas) block.  Random
-    processes give replica r its own process seed and noise seed, both
-    derived from (seed, r), so replica r follows exactly the single run
-    with those seeds; the replicas still advance together, with one
-    stacked-Laplacian `step` per time and a one-key-per-replica noise
-    sampler.  Both paths reduce their blocks with the same recorder.
+    Every path draws its noise from one sampler seeded with `seed`, one
+    batched draw per step with the replicas on the trailing axis.
+    Deterministic processes share their topology across replicas and are
+    advanced as one (n, replicas) block.  Random processes give replica r
+    its own process, seeded by word 0 of (seed, TAG_REPLICA, r), and
+    advance as one (replicas, n) block with one stacked-Laplacian `step`
+    per time.  Both paths reduce their blocks with the same recorder.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
@@ -499,15 +459,13 @@ def monte_carlo_V(process: TopologyProcess, gains: GainSchedule, noise: NoiseMod
     ts = np.arange(1, horizon + 2)
     a_all = gains.values(ts)
     X = np.tile(x1[:, None], (1, replicas))
+    sampler = EdgeNoiseSampler(noise, n, seed)
     if process.deterministic:
-        sampler = EdgeNoiseSampler(noise, n, seed)
         blocks = _advance(process, a_all, X, horizon,
                           lambda g, t: sampler.aggregate_batch(g, t, replicas))
         return _summarize(ts, X, blocks)
-    seeds = np.array([np.random.SeedSequence(entropy=seed, spawn_key=(TAG_REPLICA, r))
-                      .generate_state(2, np.uint64) for r in range(replicas)])
-    procs = [process.reseeded(proc_seed) for proc_seed in seeds[:, 0].tolist()]
-    sampler = EdgeNoiseSampler(noise, n, seeds[:, 1].tolist(), horizon=horizon)
+    spawn = (np.random.SeedSequence(seed, spawn_key=(TAG_REPLICA, r)) for r in range(replicas))
+    procs = [process.reseeded(int(ss.generate_state(1, np.uint64)[0])) for ss in spawn]
 
     def blocks() -> Iterator[np.ndarray]:
         x = np.tile(x1, (replicas, 1))
@@ -583,6 +541,57 @@ def exact_second_moment(process: TopologyProcess, gains: GainSchedule,
         if JCJ is not None:
             M += a * a * JCJ
         EV[t] = M.trace()
+    _require_finite(ts, EV)
+    return ts, EV
+
+
+def random_block_exact_moments(process: RandomBlockProcess, gains: GainSchedule,
+                               noise: NoiseModel, x1: Sequence[float],
+                               horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact annealed E V(x(t)) of a random-block process, averaged over
+    its blocks and over noise independent across time.
+
+    Blocks are independent, and a connected block's K slot graphs come
+    from one uniform permutation pi of the nodes.  Its graphs are
+    symmetric, so the centered second moment M = E (J x)(J x)' at the
+    block's start splits into one branch per permutation, and slot s of
+    the block steps every branch by
+
+        M_pi <- A M_pi A' + a^2 J C_pi,s J,   A = I - a L_pi,s,
+
+    with E V = q mean_pi tr M_pi + (1 - q) tr M, q the block's
+    `connection_probability`: a disconnected block is all-empty, so it
+    moves neither the state nor the noise.  At the block's end
+    M <- q mean_pi M_pi + (1 - q) M.  The n! branches advance as one
+    (n!, n, n) stack, so this suits small n.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    n, K = x1.size, process.K
+    if process.n != n:
+        raise ValueError("process and initial state disagree on n")
+    if not noise.independent_across_time:
+        raise ValueError("exact recursion requires noise independent across time")
+    slots = [_cycle_slot_graphs(n, perm, K) for perm in itertools.permutations(range(n))]
+    Ls = np.array([[_cached_laplacian(g) for g in gs] for gs in slots])  # (n!, K, n, n)
+    I = np.eye(n)
+    J = I - np.ones((n, n)) / n
+    JCJ = np.array([[J @ aggregate_noise_covariance(g, noise) @ J for g in gs] for gs in slots])
+    y = J @ x1
+    M = np.outer(y, y)
+    ts = np.arange(1, horizon + 2)
+    EV = np.empty(horizon + 1)
+    EV[0] = M.trace()
+    a_all = gains.values(np.arange(1, horizon + 1))
+    for start in range(0, horizon, K):  # block start // K covers steps start + 1 .. start + K
+        q = process.connection_probability(start // K)
+        Mp = M
+        for s in range(min(K, horizon - start)):
+            a = a_all[start + s]
+            A = I - a * Ls[:, s]
+            Mp = A @ Mp @ A.transpose(0, 2, 1) + a * a * JCJ[:, s]
+            EV[start + s + 1] = q * np.einsum("pii->", Mp) / len(Mp) + (1 - q) * M.trace()
+        M = q * Mp.mean(axis=0) + (1 - q) * M
+    _require_finite(ts, EV)
     return ts, EV
 
 
@@ -661,6 +670,7 @@ def adversarial_exact_moments(process: AdversarialProcess, gains: GainSchedule,
         end = int(np.searchsorted(rec, hi, side="right"))
         EV[ptr:end] = ys[:, rec[ptr:end] - lo - 1].sum(axis=0)
         ptr = end
+    _require_finite(rec, EV)
     return rec, EV
 
 

@@ -39,17 +39,6 @@ from .dynamics import GainSchedule, MonteCarloResult, SimulationTrace, _summariz
 from .graph import WeightedDigraph
 from .rng import TAG_MANET_ROUND, StreamPool
 
-FSPL_CONST_DB = 32.45
-LINK_BUDGET_CONST_DB = 32.4  # constant used inside the per-agent offset
-
-
-def fspl(d_km: float, f_mhz: float) -> float:
-    """Free-space path loss in dB: 32.45 + 20 log10 d + 20 log10 f."""
-    if np.any(np.asarray(d_km) <= 0) or np.any(np.asarray(f_mhz) <= 0):
-        raise ValueError("distance and frequency must be positive")
-    return FSPL_CONST_DB + 20 * np.log10(d_km) + 20 * np.log10(f_mhz)
-
-
 def reception_probability(alpha: float, beta: float, d_km) -> np.ndarray | float:
     """Packet success probability (1 + erf(alpha - beta log10 d)) / 2.
 
@@ -64,22 +53,6 @@ def reception_probability(alpha: float, beta: float, d_km) -> np.ndarray | float
     return out if out.ndim else float(out)
 
 
-def distance_budget(u: float, big_u: float, c2: float, beta: float,
-                    alpha_min: float, l: int) -> float:
-    """Maximal window diameter preserving the connectivity probability bound.
-
-    exp(sqrt(u log l - log log l + U) / (beta sqrt(c2)) + (alpha_min - 1)/beta);
-    substituting it back into the quadratic connectivity bound reproduces
-    the probability floor c1 e^{-U} l^{-u} log l.
-    """
-    if not (0 < u < 0.5) or big_u <= 0 or c2 <= 0 or beta <= 0 or l < 2:
-        raise ValueError("need u in (0, 1/2), U > 0, c2 > 0, beta > 0, l >= 2")
-    radicand = u * math.log(l) - math.log(math.log(l)) + big_u
-    if radicand < 0:
-        raise ValueError("bound is vacuous at this l (negative radicand)")
-    return math.exp(math.sqrt(radicand) / (beta * math.sqrt(c2)) + (alpha_min - 1) / beta)
-
-
 @dataclass(frozen=True)
 class RadioParams:
     """Per-agent reception offsets and the shared slope.
@@ -91,22 +64,13 @@ class RadioParams:
 
     alpha: np.ndarray
     beta: float
-    shadow_sigma: float = 1.0
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.alpha, dtype=float)).copy()
         a.flags.writeable = False
         object.__setattr__(self, "alpha", a)
-        if self.beta <= 0 or self.shadow_sigma <= 0:
-            raise ValueError("beta and shadow_sigma must be positive")
-
-    @classmethod
-    def from_link_budget(cls, signal_dbm, f_mhz, r_th_dbm: float,
-                         shadow_sigma: float) -> "RadioParams":
-        s = np.atleast_1d(np.asarray(signal_dbm, dtype=float))
-        f = np.atleast_1d(np.asarray(f_mhz, dtype=float))
-        alpha = (s - LINK_BUDGET_CONST_DB - 20 * np.log10(f) - r_th_dbm) / (math.sqrt(2) * shadow_sigma)
-        return cls(alpha, 10 * math.sqrt(2) / shadow_sigma, shadow_sigma)
+        if self.beta <= 0:
+            raise ValueError("beta must be positive")
 
 
 @dataclass(frozen=True)
@@ -384,7 +348,7 @@ def scenario_preset(figure: str) -> tuple[ManetScene, GainSchedule]:
     scene = ManetScene(
         positions0=np.stack([np.cos(theta), np.sin(theta)], axis=1),
         headings=theta,
-        radio=RadioParams(alpha=np.full(n, 4.0), beta=10 * math.sqrt(2), shadow_sigma=1.0),
+        radio=RadioParams(alpha=np.full(n, 4.0), beta=10 * math.sqrt(2)),
         initial_states=np.arange(n) / 8.0,
         speed_scale=1.0,
         speed_t0=200.0,

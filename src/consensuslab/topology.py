@@ -426,8 +426,8 @@ class RandomBlockProcess(TopologyProcess):
             raise ValueError("need K >= 1")
         if not (0 < mu < 0.5):
             raise ValueError("need mu in (0, 1/2)")
-        if p <= 0:
-            raise ValueError("need p > 0")
+        if not (p > 0 and math.isfinite(p)):
+            raise ValueError(f"need a finite p > 0, got p = {p}")
         self.n = n
         self.K = K
         self.mu = mu

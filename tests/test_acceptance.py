@@ -230,14 +230,13 @@ def test_c6_unbiasedness_and_variance_control():
 
 # -- 7. MANET figure scenarios -------------------------------------------------
 
-def test_c7_manet_scenarios():
-    rounds, runs = 10_000, 100
+def test_c7_manet_scenarios(c7_batch):
+    # each scene's 10^4-round, 100-run batch at seed 20240707 (conftest)
     medians = {}
     fig2_ok = True
     fig2_detail = ""
     for fig in ("fig2", "fig3", "fig4"):
-        scene, gains = M.scenario_preset(fig)
-        finals = M.run_manet_batch(scene, gains, rounds, runs, seed=20240707).final_states
+        finals = c7_batch(fig).final_states
         final_range = np.ptp(finals, axis=1)
         medians[fig] = float(np.median(final_range))
         if fig == "fig2":
@@ -283,14 +282,9 @@ def test_c8_logarithmic_regime():
 
 # -- 9. Random-topology consensus rate ----------------------------------------
 
-def test_c9_random_topology_rate():
-    n, horizon, replicas = 5, 30_000, 64
-    mu, K = 0.3, 3
-    proc = T.RandomBlockProcess(K, mu, 1.0, n, seed=0)
-    gains = cl.GainSchedule("power", alpha=8.0, t_star=64.0, exponent=1 - mu)
-    noise = D.make_noise("iid_gaussian", v=0.01)
-    mc = D.monte_carlo_V(proc, gains, noise, np.linspace(0, 1, n), horizon,
-                         replicas, seed=20240909)
+def test_c9_random_topology_rate(c9_run):
+    # n = 5, K = 3, mu = 0.3, 64 replicas to horizon 30,000 (conftest)
+    mc, horizon, mu = c9_run.mc, c9_run.horizon, c9_run.process.mu
     fit = A.fit_rate(mc.ts, mc.mean_V, (6_000, horizon))
     bound = -(1 - 2 * mu) + 0.2
     ok = fit.slope <= bound

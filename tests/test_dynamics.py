@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,12 @@ class TestGainValue:
         with pytest.raises(ValueError):
             g.value(0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "t_star", "shift"])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cl.GainSchedule("power", **{"alpha": 1.0, "exponent": 0.7, field: value})
+
 
 class TestMakeNoise:
     def test_uniform_variance_from_half_width(self):
@@ -131,6 +138,21 @@ class TestMakeNoise:
         corr1 = np.corrcoef(w[:-1], w[1:])[0, 1]
         assert abs(corr1) <= 0.03
         assert w.var() == pytest.approx(0.25, rel=0.08)
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("iid_gaussian", {"v": math.nan}),
+        ("iid_uniform", {"v": math.inf}),
+        ("m_dependent_ma", {"v": math.nan, "m": 2}),
+        ("martingale_difference", {"v": -math.inf}),
+        ("iid_gaussian", {"std": math.nan}),
+        ("iid_gaussian", {"std": math.inf}),
+        ("iid_uniform", {"half_width": math.nan}),
+        ("iid_uniform", {"half_width": math.inf}),
+    ])
+    def test_non_finite_variance_rejected(self, kind, kw):
+        # NaN compares false with 0, so the positivity check alone lets it through
+        with pytest.raises(ValueError, match="variance v must be finite"):
+            D.make_noise(kind, **kw)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
@@ -182,6 +204,10 @@ class TestAggregateNoise:
         R = 20000
         W = D.EdgeNoiseSampler(nm, 4, 11).aggregate_batch(g, 5, R)
         assert W.shape == (4, R)
+        # the stack input, every replica with its own copy of g, gives the
+        # same draw with row r per replica, so the checks below hold for it
+        stack = D.EdgeNoiseSampler(nm, 4, 11).aggregate_batch(np.tile(g.weights, (R, 1, 1)), 5, R)
+        np.testing.assert_array_equal(stack.T, W)
         assert np.all(W[3] == 0.0)
         C = D.aggregate_noise_covariance(g, nm)
         S = np.cov(W)
@@ -195,39 +221,16 @@ class TestAggregateNoise:
     def test_non_gaussian_batch_sums_edge_draw(self, kind):
         g = G.from_edges(4, [(0, 1, 2.0), (2, 1, 1.25), (1, 0, 1.0), (3, 2, 1.0)], a_max=2.0)
         nm = D.make_noise(kind, v=0.02, m=2)
+        stack = g.weights * np.arange(1.0, 7.0)[:, None, None]  # replica r: (r + 1) g
         for t in (1, 2, 9):
             got = D.EdgeNoiseSampler(nm, 4, 3).aggregate_batch(g, t, 6)
             W = D.EdgeNoiseSampler(nm, 4, 3).edge_matrix(t, (6,))
             np.testing.assert_array_equal(got, np.einsum("ij,ijr->ir", g.weights, W))
-
-
-class TestReplicaKeyedSampler:
-    @staticmethod
-    def _graphs(n, replicas, t):
-        procs = [T.RandomBlockProcess(2, 0.3, 5.0, n, seed=r) for r in range(replicas)]
-        return [p.graph_at(t) for p in procs]
-
-    # R = 64 at n = 5 gives 9 steps per kernel call: 40 steps cross four seams
-    @pytest.mark.parametrize("replicas,horizon", [(64, 40), (64, 5), (7, 30), (2, 3)])
-    @pytest.mark.parametrize("kind", ["iid_uniform", "iid_gaussian", "m_dependent_ma",
-                                      "martingale_difference", "zero"])
-    def test_rows_match_single_samplers(self, kind, replicas, horizon):
-        n = 5
-        nm = D.make_noise(kind, v=0.02, m=2)
-        seeds = [1000 + 7 * r for r in range(replicas)]
-        batch = D.EdgeNoiseSampler(nm, n, seeds, horizon=horizon)
-        singles = [D.EdgeNoiseSampler(nm, n, s) for s in seeds]
-        for t in range(1, horizon + 1):
-            gs = self._graphs(n, replicas, t)
-            got = batch.aggregate_batch(np.array([g.weights for g in gs]), t, replicas)
-            want = np.array([sm.aggregate(g, t) for sm, g in zip(singles, gs)])
-            np.testing.assert_array_equal(got, want)
-
-    def test_uniform_chunk_capped_at_horizon(self):
-        nm = D.make_noise("iid_uniform", v=0.02)
-        batch = D.EdgeNoiseSampler(nm, 5, list(range(64)), horizon=5)
-        batch.aggregate_batch(np.zeros((64, 5, 5)), 1, 64)
-        assert batch._chunk[1].shape == (5, 64, 5, 5)
+            # the stack input: row r sums replica r's column of the same draw
+            # with its own weights (einsum may sum in another order)
+            got = D.EdgeNoiseSampler(nm, 4, 3).aggregate_batch(stack, t, 6)
+            want = np.array([(stack[r] * W[..., r]).sum(axis=1) for r in range(6)])
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
 
 
 class TestStep:
@@ -526,17 +529,10 @@ def _per_replica_reference(process, gains, noise, x1, horizon, replicas, seed):
 
 
 class TestMonteCarlo:
-    # replica counts 12 and 7 split no lane budget evenly; n = 2 repeats
-    # its one pair in the cycle; K = 1 puts the whole cycle in every slot
+    # without noise replica r is exactly the single run on its process
+    # seed, which pins the topology seeding of the random branch
     @pytest.mark.parametrize("kind,K,n,replicas", [
-        pytest.param("iid_gaussian", 3, 5, 12, id="iid_gaussian"),
-        pytest.param("iid_uniform", 3, 5, 12, id="iid_uniform"),
-        pytest.param("m_dependent_ma", 3, 5, 12, id="m_dependent_ma"),
-        pytest.param("martingale_difference", 2, 4, 12, id="martingale_difference"),
         pytest.param("zero", 3, 5, 12, id="zero"),
-        pytest.param("iid_uniform", 1, 5, 12, id="iid_uniform-K1"),
-        pytest.param("iid_uniform", 3, 2, 12, id="iid_uniform-n2"),
-        pytest.param("iid_uniform", 2, 9, 7, id="iid_uniform-n9-R7"),
     ])
     def test_random_process_matches_per_replica_runs(self, kind, K, n, replicas):
         proc = T.RandomBlockProcess(K, 0.3, 1.0, n, seed=0)
@@ -666,6 +662,23 @@ class TestNonFiniteState:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite at t = 107:"):
             D.run(self.PROC, self.GAINS, self.NOISE, [0.0, 0.5, 1.0], 400, seed=0)
 
+    # a = 1 on the 4-cycle: I - L has the eigenvalue -3, so E V grows about
+    # 9-fold per step and overflows near t = 320; a = 2 on the random 4-cycles
+    # and the adversarial pair graph (whose I - 2L has -3 too) overflows sooner
+    @pytest.mark.parametrize("oracle", [
+        lambda x1, noise: D.exact_second_moment(
+            T.FixedProcess(G.cycle_graph(4)), cl.GainSchedule("constant", alpha=1.0), noise, x1,
+            400),
+        lambda x1, noise: D.random_block_exact_moments(
+            T.RandomBlockProcess(1, 0.3, 1.0, 4, seed=0), cl.GainSchedule("constant", alpha=2.0),
+            noise, x1, 400),
+        lambda x1, noise: D.adversarial_exact_moments(
+            T.AdversarialProcess(cl.GainSchedule("constant", alpha=2.0), 0.3, 1, 4, 400),
+            cl.GainSchedule("constant", alpha=2.0), noise.v, x1, 400),
+    ], ids=["exact_second_moment", "random_block_exact_moments", "adversarial_exact_moments"])
+    def test_exact_paths_name_first_time(self, oracle):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"not finite at t = \d+:"):
+            oracle([0.0, 0.5, 1.0, 0.25], self.NOISE)
 
 class TestCsvWriters:
     def test_trace_roundtrip(self, tmp_path):
@@ -691,3 +704,63 @@ class TestCsvWriters:
         assert rows[0] == "t,meanV,stderrV,replicas"
         assert len(rows) == 7  # header plus t = 1..horizon+1
         assert rows[1].endswith(",10")
+
+
+class TestRandomBlockExactOracle:
+    """The annealed E V of `random_block_exact_moments` against the random
+    branch of `monte_carlo_V`, on c9's process, gains and seed."""
+
+    @staticmethod
+    def _z(mc, ev, ts):
+        """|mean_V - E V| / stderr_V at the times ts; where the stderr is
+        0 (no block has connected yet) the two must agree to rounding."""
+        k = ts - 1
+        dev, se = np.abs(mc.mean_V[k] - ev[k]), mc.stderr_V[k]
+        np.testing.assert_allclose(mc.mean_V[k][se == 0], ev[k][se == 0], rtol=1e-12)
+        return dev[se > 0] / se[se > 0]
+
+    @pytest.mark.parametrize("noise", ["c9", "iid_uniform"])
+    def test_wide_batch_within_4_stderr(self, c9_run, noise):
+        # 20,000 replicas to horizon 30: every time, the first blocks too
+        nm = c9_run.noise if noise == "c9" else D.make_noise("iid_uniform", v=0.01)
+        args = (c9_run.process, c9_run.gains, nm, c9_run.x1, 30)
+        mc = D.monte_carlo_V(*args, 20_000, seed=c9_run.seed)
+        ts, ev = D.random_block_exact_moments(*args)
+        np.testing.assert_array_equal(ts, mc.ts)
+        z = self._z(mc, ev, ts)
+        assert z.size and np.all(z <= 4.0), z.max()
+
+    def test_c9_monte_carlo_within_4_stderr(self, c9_run):
+        # c9's own 64 replicas on a geometric grid; at R = 64 the stderr of
+        # the first connected blocks is itself noisy, which the wide batch
+        # covers, so this gate starts at t = 31
+        ts, ev = D.random_block_exact_moments(c9_run.process, c9_run.gains, c9_run.noise,
+                                              c9_run.x1, c9_run.horizon)
+        grid = np.unique(np.geomspace(1, c9_run.horizon + 1, 40).astype(int))
+        z = self._z(c9_run.mc, ev, grid[grid >= 31])
+        assert np.all(z <= 4.0), z.max()
+
+    def test_certain_block_matches_permutation_average(self):
+        # q = 1 from block 1 on: E V is the plain average over the n! cycles
+        # of the exact recursion run on each one's slot graphs
+        proc = T.RandomBlockProcess(2, 0.1, 50.0, 3, seed=0)
+        gains = cl.GainSchedule("power", alpha=0.5, t_star=2.0, exponent=0.8)
+        nm = D.make_noise("iid_uniform", v=0.02)
+        x1 = np.array([0.0, 1.0, 3.0])
+        _, ev = D.random_block_exact_moments(proc, gains, nm, x1, 4)
+        assert proc.connection_probability(1) == 1.0
+        runs = []
+        for perm in itertools.permutations(range(3)):
+            # block 0 never connects (log 1 = 0), block 1 deals this cycle
+            blocks = T._cycle_slot_graphs(3, (), 2) + T._cycle_slot_graphs(3, perm, 2)
+            runs.append(D.exact_second_moment(T.PeriodicProcess(blocks), gains, nm, x1, 4)[1])
+        np.testing.assert_allclose(ev, np.mean(runs, axis=0), rtol=1e-12)
+
+    def test_rejects_dependent_noise_and_wrong_length(self):
+        proc = T.RandomBlockProcess(2, 0.3, 1.0, 3, seed=0)
+        gains = cl.GainSchedule("constant", alpha=0.1)
+        with pytest.raises(ValueError, match="independent across time"):
+            D.random_block_exact_moments(proc, gains, D.make_noise("m_dependent_ma", v=0.1, m=2),
+                                         [0.0, 0.5, 1.0], 5)
+        with pytest.raises(ValueError, match="disagree on n"):
+            D.random_block_exact_moments(proc, gains, D.make_noise("zero"), [0.0, 1.0], 5)

@@ -13,19 +13,6 @@ from consensuslab import topology as T
 from consensuslab.rng import StreamPool, TAG_MANET_ROUND, TAG_MISC, philox_key, substream
 
 
-class TestFspl:
-    def test_reference_points(self):
-        assert M.fspl(1.0, 1.0) == pytest.approx(32.45)
-        assert M.fspl(10.0, 1.0) == pytest.approx(52.45)
-        assert M.fspl(2.0, 2.0) == pytest.approx(32.45 + 40 * math.log10(2))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            M.fspl(0.0, 100.0)
-        with pytest.raises(ValueError):
-            M.fspl(1.0, -5.0)
-
-
 class TestReceptionProbability:
     def test_half_at_crossover_distance(self):
         alpha, beta = 4.0, 10 * math.sqrt(2)
@@ -46,47 +33,6 @@ class TestReceptionProbability:
         assert np.all(np.diff(ps[interior]) < 0)
         assert M.reception_probability(alpha, beta, 1e9) <= 1e-12
         assert M.reception_probability(alpha, beta, 0.0) == 1.0
-
-
-class TestDistanceBudget:
-    def test_monotone_in_floor_constant(self):
-        budgets = [M.distance_budget(0.3, U, 1.0, 10 * math.sqrt(2), 4.0, 50)
-                   for U in (0.5, 1.0, 2.0, 4.0)]
-        assert all(b2 > b1 for b1, b2 in zip(budgets, budgets[1:]))
-
-    def test_monotone_in_c2(self):
-        budgets = [M.distance_budget(0.3, 1.0, c2, 10 * math.sqrt(2), 4.0, 50)
-                   for c2 in (0.5, 1.0, 2.0, 4.0)]
-        assert all(b2 < b1 for b1, b2 in zip(budgets, budgets[1:]))
-
-    def test_back_substitution_recovers_probability_floor(self):
-        # plugging the budget into the quadratic connectivity bound must
-        # reproduce the floor c1 e^{-U} l^{-u} log l
-        u, big_u, c2, beta, alpha_min = 0.4, 1.0, 1.0, 10 * math.sqrt(2), 4.0
-        for l in (10, 100, 5000):
-            d = M.distance_budget(u, big_u, c2, beta, alpha_min, l)
-            lower = math.exp(-c2 * (beta * math.log(d) - alpha_min + 1) ** 2)
-            floor = math.exp(-big_u) * l ** (-u) * math.log(l)
-            assert lower == pytest.approx(floor, rel=1e-9)
-
-    def test_worked_value(self):
-        d = M.distance_budget(0.4, 1.0, 1.0, 10 * math.sqrt(2), 4.0, 100)
-        rad = 0.4 * math.log(100) - math.log(math.log(100)) + 1.0
-        expect = math.exp(math.sqrt(rad) / (10 * math.sqrt(2)) + 3.0 / (10 * math.sqrt(2)))
-        assert d == pytest.approx(expect, rel=1e-12)
-
-    def test_negative_radicand_rejected(self):
-        with pytest.raises(ValueError):
-            M.distance_budget(0.01, 0.001, 1.0, 10 * math.sqrt(2), 4.0, 3)
-
-
-class TestRadioParams:
-    def test_link_budget_offsets(self):
-        rp = M.RadioParams.from_link_budget(signal_dbm=20.0, f_mhz=100.0,
-                                            r_th_dbm=-80.0, shadow_sigma=2.0)
-        expect = (20.0 - 32.4 - 20 * math.log10(100.0) + 80.0) / (math.sqrt(2) * 2.0)
-        assert rp.alpha[0] == pytest.approx(expect)
-        assert rp.beta == pytest.approx(10 * math.sqrt(2) / 2.0)
 
 
 def _static_scene(n, radius, zeta_std=0.05, xi_half=0.0):
@@ -321,11 +267,11 @@ class TestManetExactOracle:
     SEED = 20240707  # c7's seed
 
     @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4"])
-    def test_c7_scene_within_4_stderr(self, fig):
+    def test_c7_scene_within_4_stderr(self, fig, c7_batch):
         # c7's seed, runs and rounds
         scene, gains = M.scenario_preset(fig)
         rounds = 10_000
-        batch = M.run_manet_batch(scene, gains, rounds, 100, self.SEED)
+        batch = c7_batch(fig)
         ev = M.exact_disagreement(scene, gains, rounds)
         assert ev.shape == batch.mean_V.shape and ev[0] == pytest.approx(batch.mean_V[0])
         grid = _geometric_rounds(rounds)

@@ -501,6 +501,12 @@ class TestRandomBlockProcess:
         with pytest.raises(ValueError, match="n >= 2, got n = 1"):
             T.RandomBlockProcess(3, 0.3, 1.0, 1, seed=0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_rejects_non_finite_p(self, p):
+        # min(1.0, nan) is 1.0: a NaN p would connect every block
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            T.RandomBlockProcess(3, 0.3, p, 5, seed=0)
+
 
 def test_star_rotation_components_all_connected():
     comps = T.star_rotation_components(5)

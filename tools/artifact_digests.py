@@ -5,11 +5,10 @@
 Runs every `configs/*.json` at the reduced sizes of the checked-in-config
 tests, the four `perfbench/configs/*.json` at small sizes, protocol runs
 and Monte Carlo runs with moving-average, martingale-difference and
-uniform noise, a uniform-noise random-block Monte Carlo long and wide
-enough to cross several chunks of batched per-replica draws, an exact
-adversarial study and one two-value sweep, each into its own directory
-under OUT_DIR.  Then prints `sha256  relpath` for every file under OUT_DIR,
-sorted by path.  `consensuslab` is imported from the `src` directory of
+uniform noise, a 64-replica uniform-noise random-block Monte Carlo over
+300 steps, an exact adversarial study and one two-value sweep, each into
+its own directory under OUT_DIR.  Then prints `sha256  relpath` for every
+file under OUT_DIR, sorted by path.  `consensuslab` is imported from the `src` directory of
 the tree this script lives in.
 
 To check that a refactor leaves every artifact byte-identical, run the
