@@ -8,7 +8,7 @@ import consensuslab as cl
 from consensuslab import dynamics as D
 from consensuslab import graph as G
 from consensuslab import topology as T
-from consensuslab.rng import TAG_REPLICA
+from consensuslab.rng import TAG_EDGE_NOISE, TAG_REPLICA
 
 
 def transition_product(process, gains, i: int, t: int) -> np.ndarray:
@@ -515,24 +515,47 @@ class TestAffineScan:
 
 
 def _per_replica_reference(process, gains, noise, x1, horizon, replicas, seed):
-    """One `run` per replica on its derived process and noise seeds; V is
-    reduced over the (time, n, replica) stack of their states, in the
-    layout the Monte Carlo recorder reduces."""
+    """One run per replica on its derived process seed, fed column r of
+    each step's shared noise draw; V is reduced over the (time, n,
+    replica) stack of their states, in the layout the Monte Carlo
+    recorder reduces."""
+    n = len(x1)
+    sampler = D.EdgeNoiseSampler(noise, n, seed)
+    a_all = gains.values(np.arange(1, horizon + 1))
     states = []
     for r in range(replicas):
         sub = np.random.SeedSequence(entropy=seed, spawn_key=(TAG_REPLICA, r))
-        proc_seed, noise_seed = (int(s) for s in sub.generate_state(2, np.uint64))
-        trace = D.run(process.reseeded(proc_seed), gains, noise, x1, horizon, noise_seed)
-        states.append(trace.states)
+        proc = process.reseeded(int(sub.generate_state(1, np.uint64)[0]))
+        x = np.asarray(x1, dtype=float)
+        rows = [x]
+        for t in range(1, horizon + 1):
+            g = proc.graph_at(t)
+            if noise.kind == "iid_gaussian":
+                z = sampler.pool.at(TAG_EDGE_NOISE, 0, t).standard_normal((n, replicas))[:, r]
+                w_hat = z * np.sqrt(noise.v * (g.weights * g.weights).sum(axis=1))
+            else:
+                w_hat = (g.weights * sampler.edge_matrix(t, (replicas,))[:, :, r]).sum(axis=1)
+            x = D.step(x, g, a_all[t - 1], w_hat)
+            rows.append(x)
+        states.append(np.array(rows))
     V = D._disagreement_vec(np.stack(states, axis=-1))
     return V.mean(axis=1), V.std(axis=1, ddof=1) / math.sqrt(replicas), np.array(states)[:, -1]
 
 
 class TestMonteCarlo:
-    # without noise replica r is exactly the single run on its process
-    # seed, which pins the topology seeding of the random branch
+    # replica r is the single run on its process seed fed column r of
+    # each step's noise draw, which pins the topology seeding of the random
+    # branch and keeps every replica's noise its own; n = 2 repeats its one
+    # pair in the cycle; K = 1 puts the whole cycle in every slot
     @pytest.mark.parametrize("kind,K,n,replicas", [
+        pytest.param("iid_gaussian", 3, 5, 12, id="iid_gaussian"),
+        pytest.param("iid_uniform", 3, 5, 12, id="iid_uniform"),
+        pytest.param("m_dependent_ma", 3, 5, 12, id="m_dependent_ma"),
+        pytest.param("martingale_difference", 2, 4, 12, id="martingale_difference"),
         pytest.param("zero", 3, 5, 12, id="zero"),
+        pytest.param("iid_uniform", 1, 5, 12, id="iid_uniform-K1"),
+        pytest.param("iid_uniform", 3, 2, 12, id="iid_uniform-n2"),
+        pytest.param("iid_uniform", 2, 9, 7, id="iid_uniform-n9-R7"),
     ])
     def test_random_process_matches_per_replica_runs(self, kind, K, n, replicas):
         proc = T.RandomBlockProcess(K, 0.3, 1.0, n, seed=0)
